@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,8 +13,15 @@ import (
 	"yhccl/internal/topo"
 )
 
+var updateParity = flag.Bool("update-parity", false,
+	"rewrite testdata/parity.golden from the current implementation")
+
 // TestEngineParity is the gate: tick-identical makespans on every config of
-// the shared matrix, plus event-engine rerun determinism.
+// the shared matrix, plus event-engine rerun determinism. The per-case
+// makespans and event counts are also pinned in testdata/parity.golden, so
+// a refactor of the compiler cannot change a schedule's timing unnoticed
+// even when both engines still agree. Regenerate (only for intentional
+// model changes) with: go test ./internal/cluster -run TestEngineParity -update-parity
 func TestEngineParity(t *testing.T) {
 	results, err := VerifyParity(ParityCases())
 	if err != nil {
@@ -19,11 +30,44 @@ func TestEngineParity(t *testing.T) {
 	if len(results) == 0 {
 		t.Fatal("empty parity matrix")
 	}
+	var sb strings.Builder
 	for _, r := range results {
 		// A lone rank (1x1 world) legitimately finishes at tick 0; everything
 		// else must take time.
 		if r.Makespan < 0 || (r.Makespan == 0 && !strings.Contains(r.Name, "/1x1/")) {
 			t.Fatalf("%s: bad makespan %d", r.Name, r.Makespan)
+		}
+		fmt.Fprintf(&sb, "%s makespan=%d events=%d\n", r.Name, r.Makespan, r.Events)
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "parity.golden")
+	if *updateParity {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-parity to record): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Errorf("parity golden line %d:\n got  %q\n want %q", i+1, g, w)
+			}
 		}
 	}
 }
