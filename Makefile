@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race race-fast vet chaos chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload
+.PHONY: build loc test test-race race race-fast vet chaos chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload
 
 # Single CI entrypoint: vet, the full test suite (incl. the fast race pass),
 # the fault-injection gates (rank-level, recovery, cluster-scale, and
@@ -12,6 +12,11 @@ ci: test chaos chaos-recover chaos-cluster chaos-churn scale tune plan-verify se
 
 build:
 	$(GO) build ./...
+
+# Non-test Go line count outside perfbench/ (the benchmark harness): the
+# code-size figure ROADMAP tracks from change to change.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' -not -path './.*' | xargs cat | wc -l
 
 # Default gate: vet, the full test suite, then a race pass over everything
 # except internal/bench (whose determinism sweeps are ~10x slower under the

@@ -19,7 +19,7 @@ import (
 	"strconv"
 	"strings"
 
-	"yhccl/internal/coll"
+	"yhccl"
 	"yhccl/internal/fault"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -43,7 +43,7 @@ func main() {
 	flag.Parse()
 
 	if *algsFlag {
-		fmt.Println(strings.Join(algNames(*collective), " "))
+		fmt.Println(strings.Join(yhccl.AlgorithmNames(*collective), " "))
 		return
 	}
 
@@ -129,30 +129,6 @@ func parseRange(s string) (int64, int64, error) {
 	return lo, hi, nil
 }
 
-func algNames(collective string) []string {
-	switch collective {
-	case "allreduce":
-		return coll.Names(coll.AllreduceAlgos)
-	case "reduce-scatter":
-		return coll.Names(coll.ReduceScatterAlgos)
-	case "reduce":
-		return coll.Names(coll.ReduceAlgos)
-	case "bcast":
-		return coll.Names(coll.BcastAlgos)
-	case "allgather":
-		return coll.Names(coll.AllgatherAlgos)
-	case "gather":
-		return coll.Names(coll.GatherAlgos)
-	case "scatter":
-		return coll.Names(coll.ScatterAlgos)
-	case "alltoall":
-		return coll.Names(coll.AlltoallAlgos)
-	case "scan":
-		return coll.Names(coll.ScanAlgos)
-	}
-	return nil
-}
-
 // parseStraggler turns a "rank:factor" spec into a one-straggler fault plan
 // (nil when the spec is empty). The rank must name one of the np ranks and
 // the factor must be a positive finite slowdown — a spec that falls outside
@@ -192,11 +168,15 @@ func measure(node *topo.Node, np int, collective, alg string, s int64, trace boo
 	if err := m.SetFaultPlan(plan); err != nil {
 		return 0, memmodel.Counters{}, nil, err
 	}
-	body, err := makeBody(m, collective, alg, s)
+	var failure error
+	body, err := makeBody(m, collective, alg, s, &failure)
 	if err != nil {
 		return 0, memmodel.Counters{}, nil, err
 	}
 	m.MustRun(body) // warm-up
+	if failure != nil {
+		return 0, memmodel.Counters{}, nil, failure
+	}
 	var tr *sim.Tracer
 	if trace {
 		tr = sim.NewTracer()
@@ -208,120 +188,50 @@ func measure(node *topo.Node, np int, collective, alg string, s int64, trace boo
 	return t, m.Model.Counters().Sub(before), tr, nil
 }
 
-func makeBody(m *mpi.Machine, collective, alg string, s int64) (func(r *mpi.Rank), error) {
-	n := s / memmodel.ElemSize
-	if n < 1 {
-		n = 1
+// exec runs one request from a rank body, recording the first error: a
+// request Exec rejects (an unknown algorithm) fails on every rank before
+// any data moves.
+func exec(r *mpi.Rank, q yhccl.Req, failure *error) {
+	if err := yhccl.Exec(r, q); err != nil && *failure == nil {
+		*failure = err
 	}
+}
+
+// makeBody builds the timed rank body: persistent buffers shaped for the
+// collective at message bytes s, warmed the way an application iteration
+// leaves them.
+func makeBody(m *mpi.Machine, collective, alg string, s int64, failure *error) (func(r *mpi.Rank), error) {
+	n := max(s/memmodel.ElemSize, 1)
 	p := int64(m.Size())
+	sbLen, rbLen := n, n
 	switch collective {
-	case "allreduce":
-		f, err := coll.Lookup(coll.AllreduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n)
-			r.Warm(sb, 0, n)
-			r.Warm(rb, 0, n)
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
-		}, nil
+	case "allreduce", "reduce", "bcast", "scan":
 	case "reduce-scatter":
-		f, err := coll.Lookup(coll.ReduceScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		bn := n / p
-		if bn < 1 {
-			bn = 1
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", bn*p)
-			rb := r.PersistentBuffer("osu/rb", bn)
-			r.Warm(sb, 0, bn*p)
-			f(r, r.World(), sb, rb, bn, mpi.Sum, coll.Options{})
-		}, nil
-	case "reduce":
-		f, err := coll.Lookup(coll.ReduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, mpi.Sum, 0, coll.Options{})
-		}, nil
-	case "bcast":
-		f, err := coll.Lookup(coll.BcastAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			buf := r.PersistentBuffer("osu/buf", n)
-			r.Warm(buf, 0, n)
-			f(r, r.World(), buf, n, 0, coll.Options{})
-		}, nil
-	case "allgather":
-		f, err := coll.Lookup(coll.AllgatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n*p)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, coll.Options{})
-		}, nil
-	case "gather":
-		f, err := coll.Lookup(coll.GatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n*p)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
-		}, nil
+		n = max(n/p, 1)
+		sbLen, rbLen = n*p, n
+	case "allgather", "gather":
+		rbLen = n * p
 	case "scatter":
-		f, err := coll.Lookup(coll.ScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n*p)
-			rb := r.PersistentBuffer("osu/rb", n)
-			if r.ID() == 0 {
-				r.Warm(sb, 0, n*p)
-			}
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
-		}, nil
+		sbLen = n * p
 	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n*p)
-			rb := r.PersistentBuffer("osu/rb", n*p)
-			r.Warm(sb, 0, n*p)
-			f(r, r.World(), sb, rb, n, coll.Options{})
-		}, nil
-	case "scan":
-		f, err := coll.Lookup(coll.ScanAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("osu/sb", n)
-			rb := r.PersistentBuffer("osu/rb", n)
-			r.Warm(sb, 0, n)
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
-		}, nil
+		sbLen, rbLen = n*p, n*p
+	default:
+		return nil, fmt.Errorf("unknown collective %q", collective)
 	}
-	return nil, fmt.Errorf("unknown collective %q", collective)
+	return func(r *mpi.Rank) {
+		q := yhccl.Req{Collective: collective, Alg: alg, Count: n}
+		q.Send = r.PersistentBuffer("osu/sb", sbLen)
+		if collective != "bcast" {
+			q.Recv = r.PersistentBuffer("osu/rb", rbLen)
+		}
+		if collective != "scatter" || r.ID() == 0 {
+			r.Warm(q.Send, 0, sbLen)
+		}
+		if collective == "allreduce" {
+			r.Warm(q.Recv, 0, rbLen)
+		}
+		exec(r, q, failure)
+	}, nil
 }
 
 // verify runs the collective with real data at a small size and checks the
@@ -350,17 +260,16 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			*failure = fmt.Errorf(format, args...)
 		}
 	}
+	run := func(r *mpi.Rank, sb, rb *memmodel.Buffer) {
+		exec(r, yhccl.Req{Collective: collective, Alg: alg, Send: sb, Recv: rb, Count: n}, failure)
+	}
 	switch collective {
 	case "allreduce":
-		f, err := coll.Lookup(coll.AllreduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n)
 			rb := r.NewBuffer("v/rb", n)
 			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
+			run(r, sb, rb)
 			for i := int64(0); i < n; i += 17 {
 				if got := rb.Slice(i, 1)[0]; got != expectSum(i) {
 					fail("rank %d rb[%d] = %v, want %v", r.ID(), i, got, expectSum(i))
@@ -369,15 +278,11 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			}
 		}, nil
 	case "reduce-scatter":
-		f, err := coll.Lookup(coll.ReduceScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n*p)
 			rb := r.NewBuffer("v/rb", n)
 			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
+			run(r, sb, rb)
 			for i := int64(0); i < n; i += 17 {
 				want := expectSum(int64(r.ID())*n + i)
 				if got := rb.Slice(i, 1)[0]; got != want {
@@ -387,15 +292,11 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			}
 		}, nil
 	case "reduce":
-		f, err := coll.Lookup(coll.ReduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n)
 			rb := r.NewBuffer("v/rb", n)
 			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, 0, coll.Options{})
+			run(r, sb, rb)
 			if r.ID() == 0 {
 				for i := int64(0); i < n; i += 17 {
 					if got := rb.Slice(i, 1)[0]; got != expectSum(i) {
@@ -406,16 +307,12 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			}
 		}, nil
 	case "bcast":
-		f, err := coll.Lookup(coll.BcastAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			buf := r.NewBuffer("v/buf", n)
 			if r.ID() == 0 {
 				r.FillPattern(buf, 777)
 			}
-			f(r, r.World(), buf, n, 0, coll.Options{})
+			run(r, buf, nil)
 			for i := int64(0); i < n; i += 17 {
 				if got := buf.Slice(i, 1)[0]; got != 777+float64(i) {
 					fail("rank %d buf[%d] = %v", r.ID(), i, got)
@@ -424,15 +321,11 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			}
 		}, nil
 	case "allgather":
-		f, err := coll.Lookup(coll.AllgatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n)
 			rb := r.NewBuffer("v/rb", n*p)
 			r.FillPattern(sb, float64(r.ID()*100000))
-			f(r, r.World(), sb, rb, n, coll.Options{})
+			run(r, sb, rb)
 			for b := int64(0); b < p; b++ {
 				for i := int64(0); i < n; i += 111 {
 					want := float64(b*100000) + float64(i)
@@ -444,15 +337,11 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			}
 		}, nil
 	case "gather":
-		f, err := coll.Lookup(coll.GatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n)
 			rb := r.NewBuffer("v/rb", n*p)
 			r.FillPattern(sb, float64(r.ID()*100000))
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
+			run(r, sb, rb)
 			if r.ID() == 0 {
 				for b := int64(0); b < p; b++ {
 					if got := rb.Slice(b*n, 1)[0]; got != float64(b*100000) {
@@ -463,32 +352,24 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			}
 		}, nil
 	case "scatter":
-		f, err := coll.Lookup(coll.ScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n*p)
 			rb := r.NewBuffer("v/rb", n)
 			if r.ID() == 0 {
 				r.FillPattern(sb, 0)
 			}
-			f(r, r.World(), sb, rb, n, 0, coll.Options{})
+			run(r, sb, rb)
 			me := int64(r.ID())
 			if got := rb.Slice(0, 1)[0]; got != float64(me*n) {
 				fail("scatter rank %d rb[0] = %v, want %v", r.ID(), got, me*n)
 			}
 		}, nil
 	case "scan":
-		f, err := coll.Lookup(coll.ScanAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n)
 			rb := r.NewBuffer("v/rb", n)
 			r.FillPattern(sb, float64(r.ID()))
-			f(r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
+			run(r, sb, rb)
 			me := r.ID()
 			want := float64(me+1)*5 + float64(me*(me+1))/2
 			if got := rb.Slice(5, 1)[0]; got != want {
@@ -496,10 +377,6 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 			}
 		}, nil
 	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
 		return func(r *mpi.Rank) {
 			sb := r.NewBuffer("v/sb", n*p)
 			rb := r.NewBuffer("v/rb", n*p)
@@ -509,7 +386,7 @@ func makeVerifyBody(m *mpi.Machine, collective, alg string, n int64,
 					data[j*n+i] = float64(r.ID())*1e6 + float64(j)*1e3
 				}
 			}
-			f(r, r.World(), sb, rb, n, coll.Options{})
+			run(r, sb, rb)
 			for j := int64(0); j < p; j++ {
 				want := float64(j)*1e6 + float64(r.ID())*1e3
 				if got := rb.Slice(j*n, 1)[0]; got != want {

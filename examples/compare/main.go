@@ -35,7 +35,7 @@ func main() {
 					rb := r.PersistentBuffer("rb", n)
 					r.Warm(sb, 0, n)
 					r.Warm(rb, 0, n)
-					if err := yhccl.AllreduceAlg(a, r, sb, rb, n, yhccl.Sum, yhccl.Options{}); err != nil {
+					if err := yhccl.Exec(r, yhccl.Req{Collective: "allreduce", Alg: a, Send: sb, Recv: rb, Count: n}); err != nil {
 						panic(err)
 					}
 				})

@@ -24,7 +24,9 @@ func main() {
 		rb := r.NewBuffer("rb", elems)
 		r.FillPattern(sb, float64(r.ID()))
 
-		yhccl.Allreduce(r, sb, rb, elems, yhccl.Sum, yhccl.Options{})
+		if err := yhccl.Exec(r, yhccl.Req{Collective: "allreduce", Send: sb, Recv: rb, Count: elems}); err != nil {
+			log.Fatal(err)
+		}
 
 		for i := int64(0); i < elems; i += 4097 {
 			want := float64(p)*float64(i) + float64(p*(p-1))/2

@@ -1,8 +1,8 @@
 // Schedules: the paper's §3.1 formalism live — express reduction
 // algorithms as reduction trees, verify the Theorem 3.1 lower bound by
-// exhaustive search, then execute the DPML and movement-avoiding schedules
-// through the generic schedule executor and compare their measured copy
-// volume and simulated time.
+// exhaustive search, then lower the DPML and movement-avoiding schedules
+// to plan graphs, execute them through the generic graph executor and
+// compare their measured copy volume and simulated time.
 package main
 
 import (
@@ -12,6 +12,7 @@ import (
 	"yhccl/internal/coll"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
+	"yhccl/internal/plan"
 	"yhccl/internal/schedule"
 	"yhccl/internal/topo"
 )
@@ -31,8 +32,8 @@ func main() {
 	fmt.Printf("  DPML: %d units\n", schedule.DPML(p).TotalCopyUnits())
 	fmt.Printf("  MA  : %d units (the optimum 2p)\n", schedule.MA(p).TotalCopyUnits())
 
-	// 3. Execute both through the generic engine and compare measured V
-	// and simulated time.
+	// 3. Lower both to plan graphs, execute them through the generic graph
+	// executor and compare measured V and simulated time.
 	const n = 1 << 15 // 256 KB blocks
 	for _, sc := range []struct {
 		name  string
@@ -41,14 +42,16 @@ func main() {
 		{"DPML", schedule.DPML(p)},
 		{"MA", schedule.MA(p)},
 	} {
+		g, err := plan.FromSchedule(sc.sched)
+		if err != nil {
+			log.Fatal(err)
+		}
 		m := mpi.NewMachine(topo.NodeA(), p, true)
 		elapsed := m.MustRun(func(r *mpi.Rank) {
 			sb := r.NewBuffer("sb", int64(p)*n)
 			rb := r.NewBuffer("rb", n)
 			r.FillPattern(sb, float64(r.ID()))
-			if err := coll.ReduceScatterScheduled(r, r.World(), sc.sched, sb, rb, n, mpi.Sum, coll.Options{}); err != nil {
-				log.Fatal(err)
-			}
+			coll.ReduceScatterGraph(r, r.World(), g, sb, rb, n, mpi.Sum, coll.Options{})
 			// Spot-check the reduction result.
 			want := float64(p)*float64(int64(r.ID())*n) + float64(p*(p-1))/2
 			if got := rb.Slice(0, 1)[0]; got != want {

@@ -97,7 +97,8 @@ func main() {
 					rb := r.PersistentBuffer("rb", n)
 					r.Warm(sb, 0, n)
 					r.Warm(rb, 0, n)
-					if err := yhccl.AllreduceAlg("socket-ma", r, sb, rb, n, yhccl.Sum, o); err != nil {
+					if err := yhccl.Exec(r, yhccl.Req{Collective: "allreduce", Alg: "socket-ma",
+						Send: sb, Recv: rb, Count: n, Options: o}); err != nil {
 						panic(err)
 					}
 				})

@@ -7,11 +7,9 @@ import (
 )
 
 // Unified request API: every collective the library implements is reachable
-// through one entry point, Exec, driven by a declarative Req. The historic
-// N x 4 matrix of entry points (Allreduce / TunedAllreduce /
-// ResilientAllreduce-style dispatch / AllreduceAlg, times nine collectives)
-// collapses into one dispatcher; the old functions remain as thin
-// Deprecated wrappers so existing callers keep compiling.
+// through one entry point, Exec, driven by a declarative Req. Default,
+// named-algorithm, tuned and resilient dispatch of all nine collectives are
+// fields of the request, not separate functions.
 
 // Req describes one collective call declaratively: which collective, which
 // algorithm (or tuned/resilient dispatch), the buffers it moves, and the
@@ -124,12 +122,11 @@ func (q Req) validate() (Req, error) {
 	return q, nil
 }
 
-// Exec runs one collective described by q on r's world communicator. It is
-// the single entry point behind every per-collective function in this
-// package; those remain as Deprecated wrappers. Exec returns an error for
-// malformed requests (unknown collective or algorithm, conflicting
-// dispatch modes, missing buffers) before any data moves; a valid request
-// executes exactly what the corresponding legacy entry point would.
+// Exec runs one collective described by q on r's world communicator. It
+// returns an error for malformed requests (unknown collective or
+// algorithm, conflicting dispatch modes, missing buffers) before any data
+// moves; a valid request executes exactly what a direct call of the
+// resolved internal implementation would.
 func Exec(r *Rank, q Req) error {
 	q, err := q.validate()
 	if err != nil {
@@ -214,14 +211,6 @@ func Exec(r *Rank, q Req) error {
 		f(r, c, sb, rb, n, q.Op, q.Options)
 	}
 	return nil
-}
-
-// MustExec is Exec for requests known valid by construction; it panics on
-// the errors Exec would return.
-func MustExec(r *Rank, q Req) {
-	if err := Exec(r, q); err != nil {
-		panic(err)
-	}
 }
 
 // resolveAR picks the all-reduce implementation for a validated request:

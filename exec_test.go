@@ -7,8 +7,8 @@ import (
 	"yhccl/internal/coll"
 )
 
-// execBody returns a rank body that runs one collective through run and
-// records the shaped buffers so callers can compare outputs.
+// execMakespan runs one collective through run on a fresh real-data NodeA
+// machine and returns its simulated makespan.
 func execMakespan(t *testing.T, p int, n int64, run func(r *Rank, sb, rb *Buffer)) float64 {
 	t.Helper()
 	m := NewMachine(NodeA(), p, true)
@@ -22,33 +22,43 @@ func execMakespan(t *testing.T, p int, n int64, run func(r *Rank, sb, rb *Buffer
 	})
 }
 
-// TestExecParity proves Exec covers every collective and algorithm the
-// legacy entry points did: for each (collective, algorithm) pair in the
-// registries, the Exec makespan equals the legacy *Alg makespan exactly
-// (same machine shape, same buffers, same fill).
+// lookup runs a registry algorithm directly, bypassing the facade.
+func lookup[F any](algos map[string]F, name string, run func(F)) error {
+	f, err := coll.Lookup(algos, name)
+	if err != nil {
+		return err
+	}
+	run(f)
+	return nil
+}
+
+// TestExecParity proves the facade adds nothing: for each (collective,
+// algorithm) pair in the registries, the Exec makespan equals the makespan
+// of the direct coll.Lookup call exactly (same machine shape, same
+// buffers, same fill).
 func TestExecParity(t *testing.T) {
 	const p, n = 8, 1024
 
-	type legacy func(name string, r *Rank, sb, rb *Buffer) error
+	type direct func(name string, r *Rank, sb, rb *Buffer) error
 	cases := []struct {
 		collective string
 		names      []string
-		old        legacy
+		direct     direct
 	}{
 		{"allreduce", AlgorithmNames("allreduce"), func(name string, r *Rank, sb, rb *Buffer) error {
-			return AllreduceAlg(name, r, sb, rb, n, Sum, Options{})
+			return lookup(coll.AllreduceAlgos, name, func(f coll.ARFunc) { f(r, r.World(), sb, rb, n, Sum, Options{}) })
 		}},
 		{"reduce-scatter", AlgorithmNames("reduce-scatter"), func(name string, r *Rank, sb, rb *Buffer) error {
-			return ReduceScatterAlg(name, r, sb, rb, n, Sum, Options{})
+			return lookup(coll.ReduceScatterAlgos, name, func(f coll.RSFunc) { f(r, r.World(), sb, rb, n, Sum, Options{}) })
 		}},
 		{"reduce", AlgorithmNames("reduce"), func(name string, r *Rank, sb, rb *Buffer) error {
-			return ReduceAlg(name, r, sb, rb, n, Sum, 0, Options{})
+			return lookup(coll.ReduceAlgos, name, func(f coll.ReduceFunc) { f(r, r.World(), sb, rb, n, Sum, 0, Options{}) })
 		}},
 		{"bcast", AlgorithmNames("bcast"), func(name string, r *Rank, sb, rb *Buffer) error {
-			return BcastAlg(name, r, sb, n, 0, Options{})
+			return lookup(coll.BcastAlgos, name, func(f coll.BcastFunc) { f(r, r.World(), sb, n, 0, Options{}) })
 		}},
 		{"allgather", AlgorithmNames("allgather"), func(name string, r *Rank, sb, rb *Buffer) error {
-			return AllgatherAlg(name, r, sb, rb, n, Options{})
+			return lookup(coll.AllgatherAlgos, name, func(f coll.AGFunc) { f(r, r.World(), sb, rb, n, Options{}) })
 		}},
 	}
 	for _, tc := range cases {
@@ -57,57 +67,70 @@ func TestExecParity(t *testing.T) {
 		}
 		for _, name := range tc.names {
 			t.Run(tc.collective+"/"+name, func(t *testing.T) {
-				oldT := execMakespan(t, p, n, func(r *Rank, sb, rb *Buffer) {
-					if err := tc.old(name, r, sb, rb); err != nil {
-						t.Errorf("legacy: %v", err)
+				directT := execMakespan(t, p, n, func(r *Rank, sb, rb *Buffer) {
+					if err := tc.direct(name, r, sb, rb); err != nil {
+						t.Errorf("direct: %v", err)
 					}
 				})
-				newT := execMakespan(t, p, n, func(r *Rank, sb, rb *Buffer) {
+				execT := execMakespan(t, p, n, func(r *Rank, sb, rb *Buffer) {
 					if err := Exec(r, Req{Collective: tc.collective, Alg: name,
 						Send: sb, Recv: rb, Count: n, Root: 0}); err != nil {
 						t.Errorf("Exec: %v", err)
 					}
 				})
-				if oldT != newT {
-					t.Errorf("makespan diverged: legacy %v, Exec %v", oldT, newT)
+				if directT != execT {
+					t.Errorf("makespan diverged: direct %v, Exec %v", directT, execT)
 				}
 			})
 		}
 	}
 }
 
-// TestExecParityExtras covers the non-registry legacy entry points
-// (gather/scatter/alltoall/scan defaults and the switched YHCCL
-// collectives) against their Req equivalents.
+// TestExecParityExtras covers the remaining dispatch modes — the default
+// algorithm of every collective, rooted requests with a non-zero root,
+// tuned and resilient dispatch — against direct calls of the internal
+// implementation the request resolves to.
 func TestExecParityExtras(t *testing.T) {
 	const p, n = 8, 1024
+	planner := func(r *Rank) *coll.Planner { return coll.PlannerOf(r.Machine()) }
 	cases := []struct {
-		name string
-		old  func(r *Rank, sb, rb *Buffer)
-		req  Req
+		name   string
+		direct func(r *Rank, sb, rb *Buffer)
+		req    Req
 	}{
-		{"allreduce", func(r *Rank, sb, rb *Buffer) { Allreduce(r, sb, rb, n, Sum, Options{}) },
-			Req{Collective: "allreduce", Count: n}},
-		{"reduce-scatter", func(r *Rank, sb, rb *Buffer) { ReduceScatter(r, sb, rb, n, Sum, Options{}) },
-			Req{Collective: "reduce-scatter", Count: n}},
-		{"reduce", func(r *Rank, sb, rb *Buffer) { Reduce(r, sb, rb, n, Sum, 2, Options{}) },
-			Req{Collective: "reduce", Root: 2, Count: n}},
-		{"bcast", func(r *Rank, sb, rb *Buffer) { Bcast(r, sb, n, 1, Options{}) },
-			Req{Collective: "bcast", Root: 1, Count: n}},
-		{"allgather", func(r *Rank, sb, rb *Buffer) { Allgather(r, sb, rb, n, Options{}) },
-			Req{Collective: "allgather", Count: n}},
-		{"gather", func(r *Rank, sb, rb *Buffer) { Gather(r, sb, rb, n, 0, Options{}) },
-			Req{Collective: "gather", Count: n}},
-		{"scatter", func(r *Rank, sb, rb *Buffer) { Scatter(r, sb, rb, n, 0, Options{}) },
-			Req{Collective: "scatter", Count: n}},
-		{"alltoall", func(r *Rank, sb, rb *Buffer) { Alltoall(r, sb, rb, n, Options{}) },
-			Req{Collective: "alltoall", Count: n}},
-		{"scan", func(r *Rank, sb, rb *Buffer) { Scan(r, sb, rb, n, Sum, Options{}) },
-			Req{Collective: "scan", Count: n}},
-		{"tuned-allreduce", func(r *Rank, sb, rb *Buffer) { TunedAllreduce(r, sb, rb, n, Sum, Options{}) },
-			Req{Collective: "allreduce", Tuned: true, Count: n}},
-		{"tuned-allgather", func(r *Rank, sb, rb *Buffer) { TunedAllgather(r, sb, rb, n, Options{}) },
-			Req{Collective: "allgather", Tuned: true, Count: n}},
+		{"allreduce", func(r *Rank, sb, rb *Buffer) {
+			coll.AllreduceAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, Options{})
+		}, Req{Collective: "allreduce", Count: n}},
+		{"reduce-scatter", func(r *Rank, sb, rb *Buffer) {
+			coll.ReduceScatterAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, Options{})
+		}, Req{Collective: "reduce-scatter", Count: n}},
+		{"reduce", func(r *Rank, sb, rb *Buffer) {
+			coll.ReduceAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, 2, Options{})
+		}, Req{Collective: "reduce", Root: 2, Count: n}},
+		{"bcast", func(r *Rank, sb, rb *Buffer) {
+			coll.BcastAlgos["yhccl"](r, r.World(), sb, n, 1, Options{})
+		}, Req{Collective: "bcast", Root: 1, Count: n}},
+		{"allgather", func(r *Rank, sb, rb *Buffer) {
+			coll.AllgatherAlgos["yhccl"](r, r.World(), sb, rb, n, Options{})
+		}, Req{Collective: "allgather", Count: n}},
+		{"gather", func(r *Rank, sb, rb *Buffer) {
+			coll.GatherAlgos["yhccl"](r, r.World(), sb, rb, n, 0, Options{})
+		}, Req{Collective: "gather", Count: n}},
+		{"scatter", func(r *Rank, sb, rb *Buffer) {
+			coll.ScatterAlgos["yhccl"](r, r.World(), sb, rb, n, 0, Options{})
+		}, Req{Collective: "scatter", Count: n}},
+		{"alltoall", func(r *Rank, sb, rb *Buffer) {
+			coll.AlltoallAlgos["yhccl"](r, r.World(), sb, rb, n, Options{})
+		}, Req{Collective: "alltoall", Count: n}},
+		{"scan", func(r *Rank, sb, rb *Buffer) {
+			coll.ScanAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, Options{})
+		}, Req{Collective: "scan", Count: n}},
+		{"tuned-allreduce", func(r *Rank, sb, rb *Buffer) {
+			coll.TunedAllreduce(planner(r), r, r.World(), sb, rb, n, Sum, Options{})
+		}, Req{Collective: "allreduce", Tuned: true, Count: n}},
+		{"tuned-allgather", func(r *Rank, sb, rb *Buffer) {
+			coll.TunedAllgather(planner(r), r, r.World(), sb, rb, n, Options{})
+		}, Req{Collective: "allgather", Tuned: true, Count: n}},
 		{"resilient-allreduce-depth1", func(r *Rank, sb, rb *Buffer) {
 			o := Options{FallbackDepth: 1}
 			_, f, err := coll.ResilientAR("yhccl", o)
@@ -120,16 +143,16 @@ func TestExecParityExtras(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			oldT := execMakespan(t, p, n, tc.old)
-			newT := execMakespan(t, p, n, func(r *Rank, sb, rb *Buffer) {
+			directT := execMakespan(t, p, n, tc.direct)
+			execT := execMakespan(t, p, n, func(r *Rank, sb, rb *Buffer) {
 				q := tc.req
 				q.Send, q.Recv = sb, rb
 				if err := Exec(r, q); err != nil {
 					t.Errorf("Exec: %v", err)
 				}
 			})
-			if oldT != newT {
-				t.Errorf("makespan diverged: legacy %v, Exec %v", oldT, newT)
+			if directT != execT {
+				t.Errorf("makespan diverged: direct %v, Exec %v", directT, execT)
 			}
 		})
 	}

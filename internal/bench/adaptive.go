@@ -31,14 +31,14 @@ const (
 
 // measureWithPolicy runs the collective with a forced copy policy.
 func measureWithPolicy(kind policyCollective, node *topo.Node, p int, pol memcopy.Policy, sBytes int64) float64 {
-	o := nodeOptions(node).WithPolicy(pol)
+	o := NodeOptions(node).WithPolicy(pol)
 	switch kind {
 	case collectiveAllreduce:
-		return measureAllreduce(node, p, coll.AllreduceSocketMA, sBytes, o)
+		return MeasureAllreduce(node, p, coll.AllreduceSocketMA, sBytes, o)
 	case collectiveBcast:
-		return measureBcast(node, p, coll.BcastPipelined, sBytes, o)
+		return MeasureBcast(node, p, coll.BcastPipelined, sBytes, o)
 	case collectiveAllgather:
-		return measureAllgather(node, p, coll.AllgatherPipelined, sBytes, o)
+		return MeasureAllgather(node, p, coll.AllgatherPipelined, sBytes, o)
 	}
 	panic("bench: unknown policy collective")
 }
@@ -47,9 +47,9 @@ func figAdaptive(id string, node *topo.Node, p int, kind policyCollective) Runne
 	return func(quick bool) (*Figure, error) {
 		var sizes []int64
 		if kind == collectiveAllgather {
-			sizes = smallMsgSizes(quick)
+			sizes = SmallMsgSizes(quick)
 		} else {
-			sizes = msgSizes(quick)
+			sizes = MsgSizes(quick)
 		}
 		policies := []struct {
 			name string
@@ -92,7 +92,7 @@ func figAdaptive(id string, node *topo.Node, p int, kind policyCollective) Runne
 // (§5.4): W = 2sp + m*p*Imax, so s > (C - m*p*Imax) / (2p). The paper
 // computes 2176 KB on NodeA (p=64) and 1152 KB on NodeB (p=48).
 func PredictedSwitchBytes(node *topo.Node, p int) int64 {
-	imax := nodeOptions(node).SliceMaxBytes
+	imax := NodeOptions(node).SliceMaxBytes
 	if imax == 0 {
 		imax = coll.DefaultSliceMaxBytes
 	}

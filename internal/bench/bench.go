@@ -224,11 +224,11 @@ func printAligned(w io.Writer, cols []string, rows [][]string) {
 	}
 }
 
-// msgSizes returns the paper's 64 KB - 256 MB sweep (13 points), or a
+// MsgSizes returns the paper's 64 KB - 256 MB sweep (13 points), or a
 // 3-point subset in quick mode. The quick large point is 64 MB: NodeA's
 // 294 MB of cache absorbs anything smaller, hiding the large-message
 // regime the paper's headline results live in.
-func msgSizes(quick bool) []int64 {
+func MsgSizes(quick bool) []int64 {
 	if quick {
 		return []int64{64 << 10, 2 << 20, 64 << 20}
 	}
@@ -239,8 +239,9 @@ func msgSizes(quick bool) []int64 {
 	return out
 }
 
-// smallMsgSizes is the 8 KB - 8 MB all-gather sweep.
-func smallMsgSizes(quick bool) []int64 {
+// SmallMsgSizes returns the 8 KB - 8 MB all-gather sweep (11 points), or
+// the 3-point quick subset.
+func SmallMsgSizes(quick bool) []int64 {
 	if quick {
 		return []int64{8 << 10, 256 << 10, 2 << 20}
 	}
@@ -278,9 +279,17 @@ func steadyState(m *mpi.Machine, body func(r *mpi.Rank)) float64 {
 	return m.MustRun(body)
 }
 
-// arRunner builds a steady-state all-reduce measurement for one algorithm
-// at message size sBytes.
-func measureAllreduce(node *topo.Node, p int, alg coll.ARFunc, sBytes int64, o coll.Options) float64 {
+// The Measure* functions are the exact harness the figures use — same
+// steady-state warm-up contract, same machine construction — and are
+// exported for the plan tuner (internal/tune), so a tuner candidate and a
+// figure baseline see identical simulated times. That identity is what
+// makes the "synthesized plans beat or match every hand-written algorithm"
+// gate hold exactly on ties: the tuner's seed candidates ARE the figure
+// baselines, measured by the same code.
+
+// MeasureAllreduce measures an all-reduce algorithm at message sBytes on a
+// fresh machine, returning the steady-state simulated seconds.
+func MeasureAllreduce(node *topo.Node, p int, alg coll.ARFunc, sBytes int64, o coll.Options) float64 {
 	n := sBytes / memmodel.ElemSize
 	m := mpi.NewMachine(node, p, false)
 	return steadyState(m, func(r *mpi.Rank) {
@@ -292,8 +301,8 @@ func measureAllreduce(node *topo.Node, p int, alg coll.ARFunc, sBytes int64, o c
 	})
 }
 
-// measureReduceScatter measures a reduce-scatter at total message sBytes.
-func measureReduceScatter(node *topo.Node, p int, alg coll.RSFunc, sBytes int64, o coll.Options) float64 {
+// MeasureReduceScatter measures a reduce-scatter at total message sBytes.
+func MeasureReduceScatter(node *topo.Node, p int, alg coll.RSFunc, sBytes int64, o coll.Options) float64 {
 	n := sBytes / memmodel.ElemSize / int64(p)
 	if n < 1 {
 		n = 1
@@ -308,8 +317,8 @@ func measureReduceScatter(node *topo.Node, p int, alg coll.RSFunc, sBytes int64,
 	})
 }
 
-// measureReduce measures a rooted reduce at message sBytes.
-func measureReduce(node *topo.Node, p int, alg coll.ReduceFunc, sBytes int64, o coll.Options) float64 {
+// MeasureReduce measures a rooted reduce at message sBytes.
+func MeasureReduce(node *topo.Node, p int, alg coll.ReduceFunc, sBytes int64, o coll.Options) float64 {
 	n := sBytes / memmodel.ElemSize
 	m := mpi.NewMachine(node, p, false)
 	return steadyState(m, func(r *mpi.Rank) {
@@ -321,8 +330,8 @@ func measureReduce(node *topo.Node, p int, alg coll.ReduceFunc, sBytes int64, o 
 	})
 }
 
-// measureBcast measures a broadcast at message sBytes.
-func measureBcast(node *topo.Node, p int, alg coll.BcastFunc, sBytes int64, o coll.Options) float64 {
+// MeasureBcast measures a broadcast at message sBytes.
+func MeasureBcast(node *topo.Node, p int, alg coll.BcastFunc, sBytes int64, o coll.Options) float64 {
 	n := sBytes / memmodel.ElemSize
 	m := mpi.NewMachine(node, p, false)
 	return steadyState(m, func(r *mpi.Rank) {
@@ -332,8 +341,8 @@ func measureBcast(node *topo.Node, p int, alg coll.BcastFunc, sBytes int64, o co
 	})
 }
 
-// measureAllgather measures an all-gather at per-rank contribution sBytes.
-func measureAllgather(node *topo.Node, p int, alg coll.AGFunc, sBytes int64, o coll.Options) float64 {
+// MeasureAllgather measures an all-gather at per-rank contribution sBytes.
+func MeasureAllgather(node *topo.Node, p int, alg coll.AGFunc, sBytes int64, o coll.Options) float64 {
 	n := sBytes / memmodel.ElemSize
 	m := mpi.NewMachine(node, p, false)
 	return steadyState(m, func(r *mpi.Rank) {

@@ -33,7 +33,7 @@ const fig15P = 64
 func fig15Node() *topo.Node { return topo.NodeA() }
 
 func fig15ReduceScatter(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
+	sizes := MsgSizes(quick)
 	algs := []struct {
 		name string
 		f    coll.RSFunc
@@ -53,14 +53,14 @@ func fig15ReduceScatter(quick bool) (*Figure, error) {
 	for _, a := range algs {
 		a := a
 		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureReduceScatter(fig15Node(), fig15P, a.f, s, coll.Options{})
+			return MeasureReduceScatter(fig15Node(), fig15P, a.f, s, coll.Options{})
 		})})
 	}
 	return f, nil
 }
 
 func fig15Reduce(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
+	sizes := MsgSizes(quick)
 	algs := []struct {
 		name string
 		f    coll.ReduceFunc
@@ -80,14 +80,14 @@ func fig15Reduce(quick bool) (*Figure, error) {
 	for _, a := range algs {
 		a := a
 		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureReduce(fig15Node(), fig15P, a.f, s, coll.Options{})
+			return MeasureReduce(fig15Node(), fig15P, a.f, s, coll.Options{})
 		})})
 	}
 	return f, nil
 }
 
 func fig15Allreduce(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
+	sizes := MsgSizes(quick)
 	algs := []struct {
 		name string
 		f    coll.ARFunc
@@ -108,14 +108,14 @@ func fig15Allreduce(quick bool) (*Figure, error) {
 	for _, a := range algs {
 		a := a
 		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureAllreduce(fig15Node(), fig15P, a.f, s, coll.Options{})
+			return MeasureAllreduce(fig15Node(), fig15P, a.f, s, coll.Options{})
 		})})
 	}
 	return f, nil
 }
 
 func fig15Bcast(quick bool) (*Figure, error) {
-	sizes := msgSizes(quick)
+	sizes := MsgSizes(quick)
 	algs := []struct {
 		name string
 		f    coll.BcastFunc
@@ -135,14 +135,14 @@ func fig15Bcast(quick bool) (*Figure, error) {
 	for _, a := range algs {
 		a := a
 		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureBcast(fig15Node(), fig15P, a.f, s, coll.Options{})
+			return MeasureBcast(fig15Node(), fig15P, a.f, s, coll.Options{})
 		})})
 	}
 	return f, nil
 }
 
 func fig15Allgather(quick bool) (*Figure, error) {
-	sizes := smallMsgSizes(quick)
+	sizes := SmallMsgSizes(quick)
 	algs := []struct {
 		name string
 		f    coll.AGFunc
@@ -161,7 +161,7 @@ func fig15Allgather(quick bool) (*Figure, error) {
 	for _, a := range algs {
 		a := a
 		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return measureAllgather(fig15Node(), fig15P, a.f, s, coll.Options{})
+			return MeasureAllgather(fig15Node(), fig15P, a.f, s, coll.Options{})
 		})})
 	}
 	return f, nil

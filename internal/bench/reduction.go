@@ -21,9 +21,9 @@ func init() {
 	register("fig16a", "Single-node all-reduce scalability, NodeA p=2..64 @ 64MB", figScalability)
 }
 
-// nodeOptions returns the paper's per-node tuning (Imax 256 KB on NodeA,
+// NodeOptions returns the paper's per-node tuning (Imax 256 KB on NodeA,
 // 128 KB on NodeB, §5.3).
-func nodeOptions(node *topo.Node) coll.Options {
+func NodeOptions(node *topo.Node) coll.Options {
 	o := coll.Options{}
 	if node.Name == "NodeB" {
 		o.SliceMaxBytes = 128 << 10
@@ -33,8 +33,8 @@ func nodeOptions(node *topo.Node) coll.Options {
 
 func figReduceScatter(node *topo.Node, p int) Runner {
 	return func(quick bool) (*Figure, error) {
-		sizes := msgSizes(quick)
-		o := nodeOptions(node)
+		sizes := MsgSizes(quick)
+		o := NodeOptions(node)
 		algs := []struct {
 			name string
 			f    coll.RSFunc
@@ -56,7 +56,7 @@ func figReduceScatter(node *topo.Node, p int) Runner {
 		for _, a := range algs {
 			a := a
 			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return measureReduceScatter(node, p, a.f, s, o)
+				return MeasureReduceScatter(node, p, a.f, s, o)
 			})})
 		}
 		return f, nil
@@ -65,8 +65,8 @@ func figReduceScatter(node *topo.Node, p int) Runner {
 
 func figReduce(node *topo.Node, p int) Runner {
 	return func(quick bool) (*Figure, error) {
-		sizes := msgSizes(quick)
-		o := nodeOptions(node)
+		sizes := MsgSizes(quick)
+		o := NodeOptions(node)
 		algs := []struct {
 			name string
 			f    coll.ReduceFunc
@@ -87,7 +87,7 @@ func figReduce(node *topo.Node, p int) Runner {
 		for _, a := range algs {
 			a := a
 			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return measureReduce(node, p, a.f, s, o)
+				return MeasureReduce(node, p, a.f, s, o)
 			})})
 		}
 		return f, nil
@@ -96,8 +96,8 @@ func figReduce(node *topo.Node, p int) Runner {
 
 func figAllreduce(node *topo.Node, p int) Runner {
 	return func(quick bool) (*Figure, error) {
-		sizes := msgSizes(quick)
-		o := nodeOptions(node)
+		sizes := MsgSizes(quick)
+		o := NodeOptions(node)
 		algs := []struct {
 			name string
 			f    coll.ARFunc
@@ -120,7 +120,7 @@ func figAllreduce(node *topo.Node, p int) Runner {
 		for _, a := range algs {
 			a := a
 			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return measureAllreduce(node, p, a.f, s, o)
+				return MeasureAllreduce(node, p, a.f, s, o)
 			})})
 		}
 		return f, nil
@@ -159,7 +159,7 @@ func figScalability(quick bool) (*Figure, error) {
 	for _, a := range algs {
 		ys := make([]float64, len(ps))
 		for i, p := range ps {
-			ys[i] = measureAllreduce(node, p, a.f, s, coll.Options{})
+			ys[i] = MeasureAllreduce(node, p, a.f, s, coll.Options{})
 		}
 		f.Series = append(f.Series, Series{Name: a.name, Y: ys})
 	}

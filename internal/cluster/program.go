@@ -5,6 +5,8 @@ import (
 	"math/bits"
 
 	"yhccl/internal/memmodel"
+	"yhccl/internal/plan"
+	"yhccl/internal/schedule"
 	"yhccl/internal/sim"
 	"yhccl/internal/topo"
 )
@@ -20,9 +22,10 @@ import (
 // steps carry precomputed integer-tick durations and O(1) dependencies
 // computed procedurally from (rank, step). Nothing proportional to
 // ranks x steps is materialized (the intra-node templates are shared by all
-// nodes), so 262144+ rank worlds run on the event engine in flat memory,
-// while the identical program replayed on the coroutine engine is the
-// tick-exact parity reference.
+// nodes; the MA reduce-scatter template is the §3.1 schedule lowered from
+// its plan graph, see lower.go), so 262144+ rank worlds run on the event
+// engine in flat memory, while the identical program replayed on the
+// coroutine engine is the tick-exact parity reference.
 
 // IntraKind selects the intra-node step schedule a hierarchical program
 // composes from.
@@ -54,16 +57,10 @@ type ScheduleOptions struct {
 	// engines execute the coarsened program, so parity is unaffected; at
 	// 262144+ ranks this bounds the event count of ring phases.
 	RingSteps int
-	// RGDegree is the RG tree branching degree (default 2, as in coll).
-	RGDegree int
 }
 
-func (o ScheduleOptions) withDefaults() ScheduleOptions {
-	if o.RGDegree <= 0 {
-		o.RGDegree = 2
-	}
-	return o
-}
+// rgDegree is the RG tree branching degree (coll's default).
+const rgDegree = 2
 
 // progCosts converts the topology and fabric description into the
 // integer-tick step costs the compiled programs carry. The terms mirror the
@@ -188,32 +185,6 @@ func crossSocket(node *topo.Node, a, b int) bool {
 	return node.SocketOf(a) != node.SocketOf(b)
 }
 
-// maReduceScatter builds the MA wavefront reduce-scatter over p locals:
-// step 0 is the copy-in feeding the chain whose last executor is the next
-// rank; steps 1..p-1 are the descending-executor chain reductions, each
-// depending on the next rank's previous step. Rank l's final step produces
-// the fully reduced block l.
-func maReduceScatter(node *topo.Node, p int, blockBytes float64, c progCosts) *intraTemplate {
-	if p <= 1 {
-		return nil
-	}
-	t := &intraTemplate{steps: make([][]tmplStep, p)}
-	for l := 0; l < p; l++ {
-		next := (l + 1) % p
-		cross := crossSocket(node, l, next)
-		steps := make([]tmplStep, p)
-		steps[0] = tmplStep{dur: c.copyT(blockBytes, false)}
-		for j := 1; j < p; j++ {
-			steps[j] = tmplStep{
-				dur:  c.reduceT(blockBytes, cross),
-				deps: []tmplDep{{local: int32(next), step: int32(j - 1)}},
-			}
-		}
-		t.steps[l] = steps
-	}
-	return t
-}
-
 // maAllgather builds the block all-gather: p-1 copy-out steps per local,
 // step k copying block (l+k+1) mod p once its owner's previous phase ended.
 func maAllgather(node *topo.Node, p int, blockBytes float64, c progCosts) *intraTemplate {
@@ -291,39 +262,14 @@ func socketAllgather(node *topo.Node, p, perSocket int, blockBytes float64, c pr
 	return t
 }
 
-// rgGroups reproduces coll's RG grouping (consecutive groups of degree+1,
-// parents regroup until one root remains) and returns each local's children
-// in level-flattened reduction order.
-func rgGroups(p, degree int) (children [][]int) {
-	children = make([][]int, p)
-	current := make([]int, p)
-	for i := range current {
-		current[i] = i
-	}
-	for len(current) > 1 {
-		var next []int
-		for g := 0; g < len(current); g += degree + 1 {
-			hi := g + degree + 1
-			if hi > len(current) {
-				hi = len(current)
-			}
-			par := current[g]
-			children[par] = append(children[par], current[g+1:hi]...)
-			next = append(next, par)
-		}
-		current = next
-	}
-	return children
-}
-
 // rgReduce builds the RG tree reduce of the full message to local rank 0:
 // pure children publish their buffer (one copy step); parents fold each
 // child's slot in level order, depending on the child's last step.
-func rgReduce(node *topo.Node, p, degree int, msgBytes float64, c progCosts) *intraTemplate {
+func rgReduce(node *topo.Node, p int, msgBytes float64, c progCosts) *intraTemplate {
 	if p <= 1 {
 		return nil
 	}
-	children := rgGroups(p, degree)
+	children := schedule.RGTree(p, rgDegree)
 	t := &intraTemplate{steps: make([][]tmplStep, p)}
 	for l := 0; l < p; l++ {
 		if len(children[l]) == 0 {
@@ -748,7 +694,6 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: message must have at least 1 element")
 	}
-	o = o.withDefaults()
 	msg := float64(n * memmodel.ElemSize)
 	p, N := c.PerNode, c.Nodes
 	costs := newProgCosts(c.Node, c.Net, p, msg)
@@ -763,7 +708,13 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 		switch kind {
 		case IntraMA:
 			block = msg / float64(p)
-			cp.tmplA = maReduceScatter(c.Node, p, block, costs)
+			if p > 1 { // MA(1) has no trees to lower
+				g, err := plan.FromSchedule(schedule.MA(p))
+				if err != nil {
+					return nil, err
+				}
+				cp.tmplA = lowerGraph(c.Node, g, block, costs)
+			}
 			cp.tmplC = maAllgather(c.Node, p, block, costs)
 		case IntraSocket:
 			block = msg / float64(perSocket)
@@ -792,7 +743,7 @@ func (c *Cluster) CompileAllreduce(alg Algorithm, n int64, o ScheduleOptions) (s
 		}
 		cp := &clusterProgram{
 			nodes: N, perNode: p,
-			tmplA: rgReduce(c.Node, p, o.RGDegree, msg, costs),
+			tmplA: rgReduce(c.Node, p, msg, costs),
 			tmplC: binomialBcast(c.Node, p, msg, costs),
 		}
 		if N > 1 {
@@ -840,7 +791,6 @@ func (c *Cluster) CompileBcast(alg Algorithm, n int64, o ScheduleOptions) (sim.P
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: message must have at least 1 element")
 	}
-	o = o.withDefaults()
 	msg := float64(n * memmodel.ElemSize)
 	p, N := c.PerNode, c.Nodes
 	costs := newProgCosts(c.Node, c.Net, p, msg)
@@ -891,7 +841,6 @@ func (c *Cluster) CompileAllgather(alg Algorithm, n int64, o ScheduleOptions) (s
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: message must have at least 1 element")
 	}
-	o = o.withDefaults()
 	contrib := float64(n * memmodel.ElemSize)
 	p, N := c.PerNode, c.Nodes
 	costs := newProgCosts(c.Node, c.Net, p, contrib)
@@ -979,11 +928,6 @@ func (c *Cluster) ScheduledTime(coll string, alg Algorithm, n int64, o ScheduleO
 		return 0, err
 	}
 	return c.machine.RunProgram(prog, c.engine)
-}
-
-// ScheduledAllreduceTime is ScheduledTime for the all-reduce.
-func (c *Cluster) ScheduledAllreduceTime(alg Algorithm, n int64, o ScheduleOptions) (float64, error) {
-	return c.ScheduledTime(CollAllreduce, alg, n, o)
 }
 
 // SetEngine selects the simulation core Scheduled* methods run on

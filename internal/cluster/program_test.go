@@ -80,12 +80,12 @@ func TestScheduledTimeEngines(t *testing.T) {
 	if c.Engine() != sim.EngineCoroutine {
 		t.Fatalf("default engine %v, want coroutine", c.Engine())
 	}
-	tCo, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, opts)
+	tCo, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 65536, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetEngine(sim.EngineEvent)
-	tEv, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, opts)
+	tEv, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 65536, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestScheduledVsAnalyticSanity(t *testing.T) {
 	c.SetEngine(sim.EngineEvent)
 	const n = 1 << 20 // 8 MB
 	for _, alg := range []Algorithm{YHCCLHierarchical, LeaderRing, LeaderTree} {
-		sched, err := c.ScheduledAllreduceTime(alg, n, ScheduleOptions{})
+		sched, err := c.ScheduledTime(CollAllreduce, alg, n, ScheduleOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -145,11 +145,11 @@ func TestCompileErrors(t *testing.T) {
 func TestRingCoarsening(t *testing.T) {
 	c := New(topo.NodeA(), 32, 8, IB100())
 	c.SetEngine(sim.EngineEvent)
-	exact, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA})
+	exact, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA, RingSteps: 7})
+	coarse, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 65536, ScheduleOptions{Intra: IntraMA, RingSteps: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestClusterScaleSmoke(t *testing.T) {
 
 	c := New(topo.NodeA(), 1024, 64, IB100())
 	c.SetEngine(sim.EngineEvent)
-	sec, err := c.ScheduledAllreduceTime(YHCCLHierarchical, 1<<23, ScheduleOptions{RingSteps: 128})
+	sec, err := c.ScheduledTime(CollAllreduce, YHCCLHierarchical, 1<<23, ScheduleOptions{RingSteps: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestClusterScaleSmoke(t *testing.T) {
 
 	big := New(topo.NodeA(), 4096, 64, IB100())
 	big.SetEngine(sim.EngineEvent)
-	sec2, err := big.ScheduledAllreduceTime(LeaderTree, 1<<23, ScheduleOptions{})
+	sec2, err := big.ScheduledTime(CollAllreduce, LeaderTree, 1<<23, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

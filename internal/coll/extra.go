@@ -38,7 +38,8 @@ func GatherShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root 
 		r.CopyElems(rb, 0, sb, 0, n, memmodel.Temporal)
 		return
 	}
-	seg := c.Shared(fmt.Sprintf("gather/seg/n=%d", n), c.SocketOf(root), p*n)
+	home := c.SocketOf(root) // one segment per home socket: roots may differ per call
+	seg := c.Shared(fmt.Sprintf("gather/seg/n=%d@%d", n, home), home, p*n)
 	w := (n*p + n*p + p*n) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)
@@ -85,7 +86,8 @@ func ScatterShm(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, root
 		r.CopyElems(rb, 0, sb, 0, n, memmodel.Temporal)
 		return
 	}
-	seg := c.Shared(fmt.Sprintf("scatter/seg/n=%d", n), c.SocketOf(root), p*n)
+	home := c.SocketOf(root) // one segment per home socket: roots may differ per call
+	seg := c.Shared(fmt.Sprintf("scatter/seg/n=%d@%d", n, home), home, p*n)
 	w := (n*p + n*p + p*n) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)

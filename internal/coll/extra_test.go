@@ -161,3 +161,48 @@ func TestAlltoallDAVSymmetric(t *testing.T) {
 		t.Errorf("orderings moved different volumes: %d vs %d", a, b)
 	}
 }
+
+// The rooted collectives home their shared segment on the root's socket,
+// so a long-lived machine must serve roots on both sockets: root 0 then
+// root 63 on NodeA (2 x 32 cores) lands the second call on socket 1.
+func TestRootedCollectivesAcrossSockets(t *testing.T) {
+	const p, n = 64, 96
+	m := mpi.NewMachine(topo.NodeA(), p, true)
+	m.MustRun(func(r *mpi.Rank) {
+		buf := r.NewBuffer("buf", n)
+		sb := r.NewBuffer("sb", n*p)
+		rb := r.NewBuffer("rb", n*p)
+		for _, root := range []int{0, p - 1} {
+			for _, name := range Names(BcastAlgos) {
+				alg := BcastAlgos[name]
+				if r.ID() == root {
+					r.FillPattern(buf, float64(root))
+				}
+				alg(r, r.World(), buf, n, root, Options{})
+				if got := buf.Slice(n-1, 1)[0]; got != float64(root+n-1) {
+					t.Errorf("bcast %s root %d: rank %d got %v", name, root, r.ID(), got)
+				}
+			}
+			for _, name := range Names(GatherAlgos) {
+				alg := GatherAlgos[name]
+				r.FillPattern(sb, float64(r.ID()*1000))
+				alg(r, r.World(), sb, rb, n, root, Options{})
+				if r.ID() == root {
+					if got := rb.Slice(n*(p-1), 1)[0]; got != float64((p-1)*1000) {
+						t.Errorf("gather %s root %d: got %v", name, root, got)
+					}
+				}
+			}
+			for _, name := range Names(ScatterAlgos) {
+				alg := ScatterAlgos[name]
+				if r.ID() == root {
+					r.FillPattern(sb, 0)
+				}
+				alg(r, r.World(), sb, rb, n, root, Options{})
+				if got := rb.Slice(0, 1)[0]; got != float64(r.ID()*n) {
+					t.Errorf("scatter %s root %d: rank %d got %v", name, root, r.ID(), got)
+				}
+			}
+		}
+	})
+}

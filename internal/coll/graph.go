@@ -11,14 +11,14 @@ import (
 )
 
 // This file executes internal/plan chunk-level DAGs on the machine — the
-// lowering path for synthesized schedules. Where scheduled.go interprets
-// the §3.1 reduce-scatter tree formalism with phase barriers, the graph
-// executor is dataflow: each rank walks the topologically ordered step
-// list, executing its own steps and waiting on per-slot flags. Because
-// every slot's producer precedes all of its consumers in the global order,
-// and each rank blocks only on earlier steps, execution is deadlock-free by
-// induction on step index — for any graph that passes plan.Validate, which
-// executable graphs must (the synthesizer validates at construction).
+// one executor for synthesized plans and for §3.1 reduce-scatter schedule
+// trees alike (lowered by plan.FromSchedule). Execution is dataflow: each
+// rank walks the topologically ordered step list, executing its own steps
+// and waiting on per-slot flags. Because every slot's producer precedes all
+// of its consumers in the global order, and each rank blocks only on
+// earlier steps, execution is deadlock-free by induction on step index —
+// for any graph that passes plan.Validate, which executable graphs must
+// (the synthesizer validates at construction).
 //
 // Messages are pipelined in slices of I elements exactly like the
 // hand-written collectives: the whole DAG runs once per chunk, with a

@@ -39,7 +39,8 @@ func BcastPipelined(r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, roo
 	}
 	me := c.CommRank(r.ID())
 	I := pipeSlice(n, o)
-	slots := c.Shared(fmt.Sprintf("pipe-bcast/slots/I=%d", I), c.SocketOf(root), 2*I)
+	home := c.SocketOf(root) // one segment per home socket: roots may differ per call
+	slots := c.Shared(fmt.Sprintf("pipe-bcast/slots/I=%d@%d", I, home), home, 2*I)
 	w := (n + n*(p-1) + 2*I) * memmodel.ElemSize
 	hIn := hints(c.Machine(), false, w)
 	hOut := hints(c.Machine(), true, w)

@@ -2,10 +2,12 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 
 	"yhccl/internal/memcopy"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
+	"yhccl/internal/schedule"
 )
 
 // This file implements the RG pipelined tree reduction of Jain et al. [34]
@@ -25,42 +27,6 @@ import (
 // rgSliceBytes is the paper's RG slice size (128 KB, §5.3).
 const rgSliceBytes = 128 << 10
 
-// rgChildren returns, for virtual rank v of p ranks with degree k, the
-// children lists per level v parents at, and v's parent (-1 for the root,
-// virtual rank 0).
-func rgChildren(p, k, v int) (children [][]int, parent int) {
-	parent = -1
-	current := make([]int, p)
-	for i := range current {
-		current[i] = i
-	}
-	for len(current) > 1 {
-		var next []int
-		for g := 0; g < len(current); g += k + 1 {
-			hi := g + k + 1
-			if hi > len(current) {
-				hi = len(current)
-			}
-			par := current[g]
-			kids := current[g+1 : hi]
-			if par == v {
-				children = append(children, append([]int(nil), kids...))
-			}
-			for _, kid := range kids {
-				if kid == v {
-					parent = par
-				}
-			}
-			next = append(next, par)
-		}
-		if parent != -1 {
-			return children, parent
-		}
-		current = next
-	}
-	return children, parent
-}
-
 // rgRun executes the pipelined tree reduction rooted at comm rank root.
 // rootFinal performs the root's last accumulation of each slice: it
 // receives the slice index and geometry plus the operand locations
@@ -76,12 +42,14 @@ func rgRun(r *mpi.Rank, c *mpi.Comm, sb *memmodel.Buffer, n int64, op mpi.Op, ro
 	me := c.CommRank(r.ID())
 	v := (me - root + p) % p // virtual rank: root becomes 0
 	actual := func(w int) int { return (w + root) % p }
-	k := o.RGDegree
 	I := min64(int64(rgSliceBytes/memmodel.ElemSize), max64(n, 1))
-	children, parent := rgChildren(p, k, v)
-	var allKids []int // levels flattened in reduction order
-	for _, kids := range children {
-		allKids = append(allKids, kids...)
+	kids := schedule.RGTree(p, o.RGDegree)
+	allKids := kids[v] // levels flattened in reduction order
+	parent := -1
+	for u, ks := range kids {
+		if slices.Contains(ks, v) {
+			parent = u
+		}
 	}
 	slots := c.Shared(fmt.Sprintf("%s/slots/I=%d", label, I), 0, int64(p)*2*I)
 	flags := c.Flags(label + "/flags")

@@ -9,53 +9,6 @@ import (
 	"yhccl/internal/topo"
 )
 
-func TestRGChildrenShapes(t *testing.T) {
-	// p=9, k=2: groups {0,1,2},{3,4,5},{6,7,8}; then {0,3,6}. Root 0
-	// parents twice.
-	kids, parent := rgChildren(9, 2, 0)
-	if parent != -1 {
-		t.Errorf("root parent = %d", parent)
-	}
-	if len(kids) != 2 || len(kids[0]) != 2 || kids[0][0] != 1 || kids[0][1] != 2 ||
-		kids[1][0] != 3 || kids[1][1] != 6 {
-		t.Errorf("root children = %v", kids)
-	}
-	kids, parent = rgChildren(9, 2, 3)
-	if parent != 0 || len(kids) != 1 || kids[0][0] != 4 {
-		t.Errorf("rank 3: kids=%v parent=%d", kids, parent)
-	}
-	kids, parent = rgChildren(9, 2, 5)
-	if parent != 3 || len(kids) != 0 {
-		t.Errorf("rank 5: kids=%v parent=%d", kids, parent)
-	}
-}
-
-func TestRGChildrenCoverAllRanks(t *testing.T) {
-	// Property: over all ranks, every non-root appears exactly once as a
-	// child; the root never does.
-	for _, p := range []int{2, 3, 5, 9, 16, 27, 64} {
-		for _, k := range []int{1, 2, 3, 7} {
-			seen := map[int]int{}
-			for v := 0; v < p; v++ {
-				kids, _ := rgChildren(p, k, v)
-				for _, lvl := range kids {
-					for _, kid := range lvl {
-						seen[kid]++
-					}
-				}
-			}
-			if seen[0] != 0 {
-				t.Errorf("p=%d k=%d: root appears as child", p, k)
-			}
-			for v := 1; v < p; v++ {
-				if seen[v] != 1 {
-					t.Errorf("p=%d k=%d: rank %d appears %d times as child", p, k, v, seen[v])
-				}
-			}
-		}
-	}
-}
-
 func TestReduceRGCorrect(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 9} {
 		for _, root := range []int{0, p - 1} {

@@ -6,32 +6,23 @@ import (
 
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
+	"yhccl/internal/plan"
 	"yhccl/internal/schedule"
-	"yhccl/internal/topo"
 )
 
-// runScheduled executes a schedule on real data and verifies reduce-scatter
-// semantics, returning the machine for counter checks.
+// Schedule trees (the paper's §3.1 formalism) execute through the one
+// dataflow executor: plan.FromSchedule lowers them, ReduceScatterGraph runs
+// them.
+
+// runScheduled lowers a schedule and executes it on real data through
+// runRSGraph, which verifies reduce-scatter semantics.
 func runScheduled(t *testing.T, p int, n int64, sched schedule.Schedule, o Options) *mpi.Machine {
 	t.Helper()
-	m := mpi.NewMachine(topo.NodeA(), p, true)
-	m.MustRun(func(r *mpi.Rank) {
-		sb := r.NewBuffer("sb", int64(p)*n)
-		rb := r.NewBuffer("rb", n)
-		r.FillPattern(sb, float64(r.ID()))
-		if err := ReduceScatterScheduled(r, r.World(), sched, sb, rb, n, mpi.Sum, o); err != nil {
-			t.Error(err)
-			return
-		}
-		for j := int64(0); j < n; j += 11 {
-			want := expectSum(p, int64(r.ID())*n+j)
-			if got := rb.Slice(j, 1)[0]; got != want {
-				t.Errorf("rank %d rb[%d] = %v, want %v", r.ID(), j, got, want)
-				return
-			}
-		}
-	})
-	return m
+	g, err := plan.FromSchedule(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runRSGraph(t, p, n, g, o)
 }
 
 func TestScheduledExecutorRunsMASchedule(t *testing.T) {
@@ -54,19 +45,14 @@ func TestScheduledExecutorMultiChunk(t *testing.T) {
 func TestScheduledExecutorRejectsInvalid(t *testing.T) {
 	p := 4
 	bad := schedule.MA(p)[:p-1] // wrong tree count
-	m := mpi.NewMachine(topo.NodeA(), p, true)
-	m.MustRun(func(r *mpi.Rank) {
-		sb := r.NewBuffer("sb", int64(p)*16)
-		rb := r.NewBuffer("rb", 16)
-		if err := ReduceScatterScheduled(r, r.World(), bad, sb, rb, 16, mpi.Sum, Options{}); err == nil {
-			t.Error("invalid schedule accepted")
-		}
-	})
+	if _, err := plan.FromSchedule(bad); err == nil {
+		t.Error("invalid schedule accepted")
+	}
 }
 
 func TestScheduledMACopyVolumeOptimal(t *testing.T) {
-	// Executing the MA schedule through the generic engine must still hit
-	// the 2s copy-volume optimum.
+	// Executing the MA schedule through the generic executor must still
+	// hit the 2s copy-volume optimum.
 	p := 8
 	n := int64(1024)
 	m := runScheduled(t, p, n, schedule.MA(p), Options{})

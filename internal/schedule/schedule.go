@@ -227,6 +227,30 @@ func Fanout(p, f int) Schedule {
 	return s
 }
 
+// RGTree returns the grouping of the RG pipelined tree reduction (Jain et
+// al., the paper's "RG" baseline) over p ranks with branching degree k:
+// ranks form consecutive groups of k+1 whose first member is the parent of
+// the rest, and the parents regroup level by level until rank 0 alone
+// remains. kids[v] lists v's children in reduction order (level by level).
+func RGTree(p, k int) (kids [][]int) {
+	kids = make([][]int, p)
+	current := make([]int, p)
+	for i := range current {
+		current[i] = i
+	}
+	for len(current) > 1 {
+		var next []int
+		for g := 0; g < len(current); g += k + 1 {
+			hi := min(g+k+1, len(current))
+			par := current[g]
+			kids[par] = append(kids[par], current[g+1:hi]...)
+			next = append(next, par)
+		}
+		current = next
+	}
+	return kids
+}
+
 // MinTreeCopyUnits exhaustively searches all valid trees for p processes
 // and returns the minimum of sum_j V(T_{i,j}) — the quantity Theorem 3.1
 // bounds below by 2. Exponential; intended for p <= 6.

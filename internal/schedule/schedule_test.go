@@ -1,6 +1,9 @@
 package schedule
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestDPMLScheduleValidAndVolume(t *testing.T) {
 	// DPML's copy volume is 2(p-1) units per tree: every slice except the
@@ -122,5 +125,47 @@ func TestDPMLMASavingMatchesPaper(t *testing.T) {
 	saving := float64(dpmlTotal-maTotal) / float64(dpmlTotal)
 	if saving < 0.35 || saving > 0.45 {
 		t.Errorf("copy elimination saves %.0f%% of accesses, want ~40%%", saving*100)
+	}
+}
+
+func TestRGTreeShapes(t *testing.T) {
+	// p=9, k=2: groups {0,1,2},{3,4,5},{6,7,8}; then {0,3,6}. Root 0
+	// parents twice, its children flattened in level order.
+	kids := RGTree(9, 2)
+	if want := []int{1, 2, 3, 6}; !slices.Equal(kids[0], want) {
+		t.Errorf("root children = %v, want %v", kids[0], want)
+	}
+	if !slices.Equal(kids[3], []int{4, 5}) {
+		t.Errorf("rank 3 children = %v", kids[3])
+	}
+	if len(kids[5]) != 0 {
+		t.Errorf("rank 5 children = %v", kids[5])
+	}
+}
+
+func TestRGTreeCoversAllRanks(t *testing.T) {
+	// Property: every non-root appears exactly once as a child, after its
+	// parent in rank order (groups start at their parent); the root never
+	// does.
+	for _, p := range []int{2, 3, 5, 9, 16, 27, 64} {
+		for _, k := range []int{1, 2, 3, 7} {
+			seen := map[int]int{}
+			for v, ks := range RGTree(p, k) {
+				for _, kid := range ks {
+					seen[kid]++
+					if kid <= v {
+						t.Errorf("p=%d k=%d: rank %d is a child of %d", p, k, kid, v)
+					}
+				}
+			}
+			if seen[0] != 0 {
+				t.Errorf("p=%d k=%d: root appears as child", p, k)
+			}
+			for v := 1; v < p; v++ {
+				if seen[v] != 1 {
+					t.Errorf("p=%d k=%d: rank %d appears %d times as child", p, k, v, seen[v])
+				}
+			}
+		}
 	}
 }

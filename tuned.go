@@ -28,7 +28,7 @@ var (
 
 // attachDefaultPlans is the comm-init hook behind NewMachine: if the
 // repository's plans/ directory holds a tuned cache for this exact
-// (topology, rank count), attach it so Tuned* dispatch works out of the
+// (topology, rank count), attach it so Tuned requests work out of the
 // box. The parsed planner is memoized per cache file, so machines created
 // in a loop share one load; absent or invalid caches leave the machine
 // untuned (invalid ones warn once, matching AttachPlans).
@@ -61,12 +61,12 @@ func attachDefaultPlans(m *Machine) {
 }
 
 // AttachPlans loads the tuned-plan cache for the machine's topology and
-// rank count from dir ("" selects PlanDir) and attaches it, so the Tuned*
-// entry points dispatch through it. Loading happens here, once, at machine
+// rank count from dir ("" selects PlanDir) and attaches it, so Tuned
+// requests dispatch through it. Loading happens here, once, at machine
 // setup — never per collective call.
 //
-// A missing cache is not an error: the machine is left untuned and Tuned*
-// falls back to the hand-tuned switch. A cache that exists but fails
+// A missing cache is not an error: the machine is left untuned and Tuned
+// requests fall back to the hand-tuned switch. A cache that exists but fails
 // validation (version bump, topology recalibration, checksum mismatch)
 // degrades the same way, with one warning per process on stderr naming the
 // cause; the returned error carries it for callers that want to fail hard.
@@ -100,42 +100,6 @@ func warnPlanOnce(dir, topology string, ranks int, err error) {
 	if _, dup := planWarn.LoadOrStore(key, struct{}{}); !dup {
 		fmt.Fprintf(os.Stderr, "yhccl: ignoring tuned-plan cache %s: %v (falling back to hand-tuned switch)\n", key, err)
 	}
-}
-
-// TunedAllreduce dispatches through the machine's attached plan table,
-// falling back to the hand-tuned switch when no plan covers the call.
-//
-// Deprecated: use Exec with Req{Collective: "allreduce", Tuned: true}.
-func TunedAllreduce(r *Rank, sb, rb *Buffer, n int64, op Op, o Options) {
-	MustExec(r, Req{Collective: "allreduce", Tuned: true, Send: sb, Recv: rb, Count: n, Op: op, Options: o})
-}
-
-// TunedReduceScatter dispatches a reduce-scatter through the plan table.
-//
-// Deprecated: use Exec with Req{Collective: "reduce-scatter", Tuned: true}.
-func TunedReduceScatter(r *Rank, sb, rb *Buffer, n int64, op Op, o Options) {
-	MustExec(r, Req{Collective: "reduce-scatter", Tuned: true, Send: sb, Recv: rb, Count: n, Op: op, Options: o})
-}
-
-// TunedReduce dispatches a rooted reduce through the plan table.
-//
-// Deprecated: use Exec with Req{Collective: "reduce", Tuned: true}.
-func TunedReduce(r *Rank, sb, rb *Buffer, n int64, op Op, root int, o Options) {
-	MustExec(r, Req{Collective: "reduce", Tuned: true, Send: sb, Recv: rb, Count: n, Op: op, Root: root, Options: o})
-}
-
-// TunedBcast dispatches a broadcast through the plan table.
-//
-// Deprecated: use Exec with Req{Collective: "bcast", Tuned: true}.
-func TunedBcast(r *Rank, buf *Buffer, n int64, root int, o Options) {
-	MustExec(r, Req{Collective: "bcast", Tuned: true, Send: buf, Count: n, Root: root, Options: o})
-}
-
-// TunedAllgather dispatches an all-gather through the plan table.
-//
-// Deprecated: use Exec with Req{Collective: "allgather", Tuned: true}.
-func TunedAllgather(r *Rank, sb, rb *Buffer, n int64, o Options) {
-	MustExec(r, Req{Collective: "allgather", Tuned: true, Send: sb, Recv: rb, Count: n, Options: o})
 }
 
 func plannerOf(r *Rank) *coll.Planner { return coll.PlannerOf(r.Machine()) }

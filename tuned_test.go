@@ -25,7 +25,7 @@ func tunedCacheDir(t *testing.T, p int) string {
 	return dir
 }
 
-// AttachPlans + Tuned* is the documented runtime path: load once at machine
+// AttachPlans + Tuned requests is the documented runtime path: load once at machine
 // creation, dispatch per call, results bit-exact.
 func TestAttachPlansDispatch(t *testing.T) {
 	if testing.Short() {
@@ -41,7 +41,10 @@ func TestAttachPlansDispatch(t *testing.T) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		TunedAllreduce(r, sb, rb, n, Sum, Options{})
+		if err := Exec(r, Req{Collective: "allreduce", Tuned: true, Send: sb, Recv: rb, Count: n}); err != nil {
+			t.Error(err)
+			return
+		}
 		for j := int64(0); j < n; j += 13 {
 			want := float64(p)*float64(j) + float64(p*(p-1))/2
 			if got := rb.Slice(j, 1)[0]; got != want {
@@ -85,7 +88,10 @@ func TestAttachPlansCorruptedCacheDegrades(t *testing.T) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		TunedAllreduce(r, sb, rb, n, Sum, Options{})
+		if err := Exec(r, Req{Collective: "allreduce", Tuned: true, Send: sb, Recv: rb, Count: n}); err != nil {
+			t.Error(err)
+			return
+		}
 		for j := int64(0); j < n; j += 7 {
 			want := float64(p)*float64(j) + float64(p*(p-1))/2
 			if got := rb.Slice(j, 1)[0]; got != want {

@@ -6,14 +6,17 @@
 // simulation of the paper's multi-core nodes.
 //
 // The public API wraps the internal packages into the shape an MPI-style
-// user expects:
+// user expects. Every collective runs through one entry point, Exec, driven
+// by a declarative Req:
 //
 //	node := yhccl.NodeA()                     // 2x32-core EPYC description
 //	m := yhccl.NewMachine(node, 64, true)     // 64 ranks, real data
 //	m.MustRun(func(r *yhccl.Rank) {
 //	    sb := r.NewBuffer("sb", 1<<20)
 //	    rb := r.NewBuffer("rb", 1<<20)
-//	    yhccl.Allreduce(r, sb, rb, 1<<20, yhccl.Sum, yhccl.Options{})
+//	    err := yhccl.Exec(r, yhccl.Req{Collective: "allreduce",
+//	        Send: sb, Recv: rb, Count: 1 << 20})
+//	    ...
 //	})
 //
 // Machines run either with real payloads (Real = true: every collective
@@ -96,8 +99,8 @@ func NodeC() *Node { return topo.NodeC() }
 // NewMachine creates a machine with p ranks block-bound to cores 0..p-1.
 // real selects whether buffers carry actual data. If the repository's
 // plans/ directory holds a tuned-plan cache for (node, p), it is loaded
-// once and attached so the Tuned* entry points dispatch through it (see
-// AttachPlans for explicit directories).
+// once and attached so Tuned requests dispatch through it (see AttachPlans
+// for explicit directories).
 func NewMachine(node *Node, p int, real bool) *Machine {
 	m := mpi.NewMachine(node, p, real)
 	attachDefaultPlans(m)
@@ -110,113 +113,6 @@ func NewMachineWithBinding(node *Node, rankCores []int, real bool) *Machine {
 	m := mpi.NewMachineWithBinding(node, rankCores, real)
 	attachDefaultPlans(m)
 	return m
-}
-
-// Allreduce runs YHCCL's all-reduce (two-level parallel reduction below
-// the small-message switch, socket-aware movement-avoiding reduction
-// above) on the world communicator: rb = op over all ranks' sb.
-//
-// Deprecated: use Exec with Req{Collective: "allreduce"}.
-func Allreduce(r *Rank, sb, rb *Buffer, n int64, op Op, o Options) {
-	MustExec(r, Req{Collective: "allreduce", Send: sb, Recv: rb, Count: n, Op: op, Options: o})
-}
-
-// ReduceScatter runs YHCCL's reduce-scatter: sb holds p blocks of n
-// elements; rank i receives the reduction of block i in rb.
-//
-// Deprecated: use Exec with Req{Collective: "reduce-scatter"}.
-func ReduceScatter(r *Rank, sb, rb *Buffer, n int64, op Op, o Options) {
-	MustExec(r, Req{Collective: "reduce-scatter", Send: sb, Recv: rb, Count: n, Op: op, Options: o})
-}
-
-// Reduce runs YHCCL's rooted reduce: root's rb receives the reduction.
-//
-// Deprecated: use Exec with Req{Collective: "reduce"}.
-func Reduce(r *Rank, sb, rb *Buffer, n int64, op Op, root int, o Options) {
-	MustExec(r, Req{Collective: "reduce", Send: sb, Recv: rb, Count: n, Op: op, Root: root, Options: o})
-}
-
-// Bcast runs YHCCL's adaptive pipelined broadcast over buf.
-//
-// Deprecated: use Exec with Req{Collective: "bcast"}.
-func Bcast(r *Rank, buf *Buffer, n int64, root int, o Options) {
-	MustExec(r, Req{Collective: "bcast", Send: buf, Count: n, Root: root, Options: o})
-}
-
-// Allgather runs YHCCL's adaptive pipelined all-gather: sb has n elements,
-// rb receives p*n.
-//
-// Deprecated: use Exec with Req{Collective: "allgather"}.
-func Allgather(r *Rank, sb, rb *Buffer, n int64, o Options) {
-	MustExec(r, Req{Collective: "allgather", Send: sb, Recv: rb, Count: n, Options: o})
-}
-
-// Gather runs the shared-memory gather: root's rb receives p blocks of n.
-//
-// Deprecated: use Exec with Req{Collective: "gather"}.
-func Gather(r *Rank, sb, rb *Buffer, n int64, root int, o Options) {
-	MustExec(r, Req{Collective: "gather", Send: sb, Recv: rb, Count: n, Root: root, Options: o})
-}
-
-// Scatter runs the shared-memory scatter: root's sb holds p blocks of n;
-// rank i's rb receives block i.
-//
-// Deprecated: use Exec with Req{Collective: "scatter"}.
-func Scatter(r *Rank, sb, rb *Buffer, n int64, root int, o Options) {
-	MustExec(r, Req{Collective: "scatter", Send: sb, Recv: rb, Count: n, Root: root, Options: o})
-}
-
-// Alltoall runs the cache-oblivious (Morton-order) personalized exchange:
-// rank i's rb block j receives rank j's block i.
-//
-// Deprecated: use Exec with Req{Collective: "alltoall"}.
-func Alltoall(r *Rank, sb, rb *Buffer, n int64, o Options) {
-	MustExec(r, Req{Collective: "alltoall", Send: sb, Recv: rb, Count: n, Options: o})
-}
-
-// Scan runs the movement-avoiding chained inclusive prefix reduction:
-// rank i's rb receives op over ranks 0..i.
-//
-// Deprecated: use Exec with Req{Collective: "scan"}.
-func Scan(r *Rank, sb, rb *Buffer, n int64, op Op, o Options) {
-	MustExec(r, Req{Collective: "scan", Send: sb, Recv: rb, Count: n, Op: op, Options: o})
-}
-
-// AllreduceAlg, ReduceScatterAlg, ReduceAlg, BcastAlg and AllgatherAlg run
-// a named algorithm from the registries (the baselines of Figs. 9-15):
-// see AlgorithmNames.
-//
-// Deprecated: use Exec with Req{Collective: "allreduce", Alg: name}.
-func AllreduceAlg(name string, r *Rank, sb, rb *Buffer, n int64, op Op, o Options) error {
-	return Exec(r, Req{Collective: "allreduce", Alg: name, Send: sb, Recv: rb, Count: n, Op: op, Options: o})
-}
-
-// ReduceScatterAlg runs a named reduce-scatter algorithm.
-//
-// Deprecated: use Exec with Req{Collective: "reduce-scatter", Alg: name}.
-func ReduceScatterAlg(name string, r *Rank, sb, rb *Buffer, n int64, op Op, o Options) error {
-	return Exec(r, Req{Collective: "reduce-scatter", Alg: name, Send: sb, Recv: rb, Count: n, Op: op, Options: o})
-}
-
-// ReduceAlg runs a named rooted-reduce algorithm.
-//
-// Deprecated: use Exec with Req{Collective: "reduce", Alg: name}.
-func ReduceAlg(name string, r *Rank, sb, rb *Buffer, n int64, op Op, root int, o Options) error {
-	return Exec(r, Req{Collective: "reduce", Alg: name, Send: sb, Recv: rb, Count: n, Op: op, Root: root, Options: o})
-}
-
-// BcastAlg runs a named broadcast algorithm.
-//
-// Deprecated: use Exec with Req{Collective: "bcast", Alg: name}.
-func BcastAlg(name string, r *Rank, buf *Buffer, n int64, root int, o Options) error {
-	return Exec(r, Req{Collective: "bcast", Alg: name, Send: buf, Count: n, Root: root, Options: o})
-}
-
-// AllgatherAlg runs a named all-gather algorithm.
-//
-// Deprecated: use Exec with Req{Collective: "allgather", Alg: name}.
-func AllgatherAlg(name string, r *Rank, sb, rb *Buffer, n int64, o Options) error {
-	return Exec(r, Req{Collective: "allgather", Alg: name, Send: sb, Recv: rb, Count: n, Options: o})
 }
 
 // AlgorithmNames lists the registered algorithm names for a collective

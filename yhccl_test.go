@@ -9,6 +9,14 @@ func expectSum(p int, i int64) float64 {
 	return float64(p)*float64(i) + float64(p*(p-1))/2
 }
 
+// mustExec runs a request that is valid by construction.
+func mustExec(t *testing.T, r *Rank, q Req) {
+	t.Helper()
+	if err := Exec(r, q); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPublicAllreduce(t *testing.T) {
 	const p = 8
 	const n = 2048
@@ -17,7 +25,7 @@ func TestPublicAllreduce(t *testing.T) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		Allreduce(r, sb, rb, n, Sum, Options{})
+		mustExec(t, r, Req{Collective: "allreduce", Send: sb, Recv: rb, Count: n})
 		for i := int64(0); i < n; i += 7 {
 			if got := rb.Slice(i, 1)[0]; got != expectSum(p, i) {
 				t.Errorf("rank %d rb[%d] = %v, want %v", r.ID(), i, got, expectSum(p, i))
@@ -38,7 +46,7 @@ func TestPublicCollectives(t *testing.T) {
 		sb := r.NewBuffer("sb", n*p)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		ReduceScatter(r, sb, rb, n, Sum, Options{})
+		mustExec(t, r, Req{Collective: "reduce-scatter", Send: sb, Recv: rb, Count: n})
 		for i := int64(0); i < n; i += 13 {
 			want := expectSum(p, int64(r.ID())*n+i)
 			if got := rb.Slice(i, 1)[0]; got != want {
@@ -49,7 +57,7 @@ func TestPublicCollectives(t *testing.T) {
 
 		red := r.NewBuffer("red", n)
 		r.FillPattern(sb, float64(r.ID()))
-		Reduce(r, sb, red, n, Sum, 1, Options{})
+		mustExec(t, r, Req{Collective: "reduce", Root: 1, Send: sb, Recv: red, Count: n})
 		if r.ID() == 1 {
 			if got := red.Slice(5, 1)[0]; got != expectSum(p, 5) {
 				t.Errorf("reduce: %v != %v", got, expectSum(p, 5))
@@ -60,14 +68,14 @@ func TestPublicCollectives(t *testing.T) {
 		if r.ID() == 2 {
 			r.FillPattern(buf, 99)
 		}
-		Bcast(r, buf, n, 2, Options{})
+		mustExec(t, r, Req{Collective: "bcast", Root: 2, Send: buf, Count: n})
 		if got := buf.Slice(n-1, 1)[0]; got != 99+float64(n-1) {
 			t.Errorf("bcast rank %d: %v", r.ID(), got)
 		}
 
 		ag := r.NewBuffer("ag", n*p)
 		r.FillPattern(buf, float64(1000*r.ID()))
-		Allgather(r, buf, ag, n, Options{})
+		mustExec(t, r, Req{Collective: "allgather", Send: buf, Recv: ag, Count: n})
 		for b := 0; b < p; b++ {
 			if got := ag.Slice(int64(b)*n, 1)[0]; got != float64(1000*b) {
 				t.Errorf("allgather rank %d block %d: %v", r.ID(), b, got)
@@ -88,7 +96,7 @@ func TestPublicNamedAlgorithms(t *testing.T) {
 				sb := r.NewBuffer("sb", n)
 				rb := r.NewBuffer("rb", n)
 				r.FillPattern(sb, float64(r.ID()))
-				if err := AllreduceAlg(name, r, sb, rb, n, Sum, Options{}); err != nil {
+				if err := Exec(r, Req{Collective: "allreduce", Alg: name, Send: sb, Recv: rb, Count: n}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -111,17 +119,13 @@ func TestPublicNamedWrappersAllCollectives(t *testing.T) {
 		big := r.NewBuffer("big", n*p)
 
 		r.FillPattern(sb, float64(r.ID()))
-		if err := ReduceScatterAlg("ring", r, sb, rb, n, Sum, Options{}); err != nil {
-			t.Error(err)
-		}
+		mustExec(t, r, Req{Collective: "reduce-scatter", Alg: "ring", Send: sb, Recv: rb, Count: n})
 		if got := rb.Slice(0, 1)[0]; got != expectSum(p, int64(r.ID())*n) {
 			t.Errorf("reduce-scatter ring: %v", got)
 		}
 
 		r.FillPattern(small, float64(r.ID()))
-		if err := ReduceAlg("dpml", r, small, rb, n, Sum, 0, Options{}); err != nil {
-			t.Error(err)
-		}
+		mustExec(t, r, Req{Collective: "reduce", Alg: "dpml", Send: small, Recv: rb, Count: n})
 		if r.ID() == 0 {
 			if got := rb.Slice(1, 1)[0]; got != expectSum(p, 1) {
 				t.Errorf("reduce dpml: %v", got)
@@ -131,27 +135,28 @@ func TestPublicNamedWrappersAllCollectives(t *testing.T) {
 		if r.ID() == 1 {
 			r.FillPattern(small, 5)
 		}
-		if err := BcastAlg("binomial", r, small, n, 1, Options{}); err != nil {
-			t.Error(err)
-		}
+		mustExec(t, r, Req{Collective: "bcast", Alg: "binomial", Root: 1, Send: small, Count: n})
 		if got := small.Slice(0, 1)[0]; got != 5 {
 			t.Errorf("bcast binomial rank %d: %v", r.ID(), got)
 		}
 
 		r.FillPattern(small, float64(r.ID()*7))
-		if err := AllgatherAlg("ring", r, small, big, n, Options{}); err != nil {
-			t.Error(err)
-		}
+		mustExec(t, r, Req{Collective: "allgather", Alg: "ring", Send: small, Recv: big, Count: n})
 		if got := big.Slice(3*n, 1)[0]; got != 21 {
 			t.Errorf("allgather ring: %v", got)
 		}
 
-		// Error paths for every wrapper.
-		if ReduceScatterAlg("nope", r, sb, rb, n, Sum, Options{}) == nil ||
-			ReduceAlg("nope", r, small, rb, n, Sum, 0, Options{}) == nil ||
-			BcastAlg("nope", r, small, n, 0, Options{}) == nil ||
-			AllgatherAlg("nope", r, small, big, n, Options{}) == nil {
-			t.Error("unknown algorithm accepted by a wrapper")
+		// Error paths for every named-algorithm collective.
+		for _, q := range []Req{
+			{Collective: "reduce-scatter", Send: sb, Recv: rb},
+			{Collective: "reduce", Send: small, Recv: rb},
+			{Collective: "bcast", Send: small},
+			{Collective: "allgather", Send: small, Recv: big},
+		} {
+			q.Alg, q.Count = "nope", n
+			if Exec(r, q) == nil {
+				t.Errorf("%s: unknown algorithm accepted", q.Collective)
+			}
 		}
 	})
 }
@@ -161,7 +166,7 @@ func TestPublicUnknownAlgorithm(t *testing.T) {
 	m.MustRun(func(r *Rank) {
 		sb := r.NewBuffer("sb", 8)
 		rb := r.NewBuffer("rb", 8)
-		if err := AllreduceAlg("bogus", r, sb, rb, 8, Sum, Options{}); err == nil {
+		if err := Exec(r, Req{Collective: "allreduce", Alg: "bogus", Send: sb, Recv: rb, Count: 8}); err == nil {
 			t.Error("expected error for unknown algorithm")
 		}
 	})
@@ -186,7 +191,7 @@ func TestPublicGatherScatterAlltoall(t *testing.T) {
 		sb := r.NewBuffer("sb", n)
 		gbuf := r.NewBuffer("gbuf", n*p)
 		r.FillPattern(sb, float64(r.ID()*100))
-		Gather(r, sb, gbuf, n, 0, Options{})
+		mustExec(t, r, Req{Collective: "gather", Send: sb, Recv: gbuf, Count: n})
 		if r.ID() == 0 {
 			for b := int64(0); b < p; b++ {
 				if got := gbuf.Slice(b*n, 1)[0]; got != float64(b*100) {
@@ -199,7 +204,7 @@ func TestPublicGatherScatterAlltoall(t *testing.T) {
 		if r.ID() == 0 {
 			r.FillPattern(gbuf, 0)
 		}
-		Scatter(r, gbuf, rb, n, 0, Options{})
+		mustExec(t, r, Req{Collective: "scatter", Send: gbuf, Recv: rb, Count: n})
 		if got := rb.Slice(0, 1)[0]; got != float64(int64(r.ID())*n) {
 			t.Errorf("scatter rank %d: %v", r.ID(), got)
 		}
@@ -212,7 +217,7 @@ func TestPublicGatherScatterAlltoall(t *testing.T) {
 				in[j*n+i] = float64(r.ID())*1e4 + float64(j)
 			}
 		}
-		Alltoall(r, a2aIn, a2aOut, n, Options{})
+		mustExec(t, r, Req{Collective: "alltoall", Send: a2aIn, Recv: a2aOut, Count: n})
 		for j := int64(0); j < p; j++ {
 			want := float64(j)*1e4 + float64(r.ID())
 			if got := a2aOut.Slice(j*n, 1)[0]; got != want {
@@ -232,7 +237,8 @@ func TestPolicyOptions(t *testing.T) {
 			sb := r.NewBuffer("sb", n)
 			rb := r.NewBuffer("rb", n)
 			r.FillPattern(sb, float64(r.ID()))
-			Allreduce(r, sb, rb, n, Sum, Options{}.WithPolicy(pol))
+			mustExec(t, r, Req{Collective: "allreduce", Send: sb, Recv: rb, Count: n,
+				Options: Options{}.WithPolicy(pol)})
 			if got := rb.Slice(100, 1)[0]; got != expectSum(p, 100) {
 				t.Errorf("policy %v: %v != %v", pol, got, expectSum(p, 100))
 			}
@@ -240,7 +246,7 @@ func TestPolicyOptions(t *testing.T) {
 	}
 }
 
-func ExampleAllreduce() {
+func ExampleExec() {
 	m := NewMachine(NodeA(), 4, true)
 	m.MustRun(func(r *Rank) {
 		sb := r.NewBuffer("sb", 4)
@@ -248,7 +254,9 @@ func ExampleAllreduce() {
 		for i := range sb.Slice(0, 4) {
 			sb.Slice(0, 4)[i] = float64(r.ID())
 		}
-		Allreduce(r, sb, rb, 4, Sum, Options{})
+		if err := Exec(r, Req{Collective: "allreduce", Send: sb, Recv: rb, Count: 4}); err != nil {
+			panic(err)
+		}
 		if r.ID() == 0 {
 			fmt.Println(rb.Slice(0, 4))
 		}
