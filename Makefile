@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: build loc test test-race race race-fast vet chaos chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload
+.PHONY: build loc test test-race race race-fast vet fuzz chaos chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload
 
 # Single CI entrypoint: vet, the full test suite (incl. the fast race pass),
-# the fault-injection gates (rank-level, recovery, cluster-scale, and
-# membership churn), the cluster-scale smoke gate, the tuned-plan pipeline
+# a short fuzz smoke, the fault-injection gates (rank-level, recovery,
+# cluster-scale, and membership churn), the cluster-scale smoke gate, the tuned-plan pipeline
 # (quick-budget synthesis + the beats-or-matches gate), then the
 # multi-tenant serving gates (steady-state sweep and the bounded-queue
 # overload point).
-ci: test chaos chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload
+ci: test fuzz chaos chaos-recover chaos-cluster chaos-churn scale tune plan-verify serve serve-overload
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,15 @@ race: test-race
 
 vet:
 	$(GO) vet ./...
+
+# Fuzz smoke: a few seconds of coverage-guided fuzzing per target (the event
+# calendar's dispatch order, the memory model's region tracker and buffer
+# range checks). A crasher is written to the package's testdata/fuzz and
+# fails the target.
+fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventCalendar$$' -fuzztime 5s
+	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzCacheState$$' -fuzztime 5s
+	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzBufferRanges$$' -fuzztime 5s
 
 # Fault-injection sweep: every collective x fault plan must finish clean,
 # fail with a diagnosis naming the victim rank, or be caught by

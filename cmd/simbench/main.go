@@ -220,9 +220,9 @@ func residencyLookup(b *testing.B) {
 	}
 }
 
-// eventPostPop drives the event calendar's push/pop hot path at a rolling
-// depth of 1024 entries — cluster-typical (one in-flight event per rank
-// wavefront).
+// eventPostPop drives the event calendar's push/pop hot path in waves: it
+// posts until 1024 entries are pending, then Run drains the calendar to
+// zero, so the depth seen by each pop falls from 1024 to 1 within a wave.
 func eventPostPop(b *testing.B) {
 	e := sim.NewEventEngine()
 	var now sim.Tick
