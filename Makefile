@@ -36,15 +36,20 @@ test-race:
 # Backwards-compatible alias for test-race.
 race: test-race
 
+# go vet, then a formatting gate: fails when gofmt would change any Go file
+# outside perfbench/ and .bench_build/.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v -e '^perfbench/' -e '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing per target (the event
-# calendar's dispatch order, the memory model's region tracker and buffer
-# range checks). A crasher is written to the package's testdata/fuzz and
-# fails the target.
+# calendar's dispatch order, plan-graph schedules on both engines, the
+# memory model's region tracker and buffer range checks). A crasher is
+# written to the package's testdata/fuzz and fails the target.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventCalendar$$' -fuzztime 5s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzPlanGraphEngines$$' -fuzztime 5s
 	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzCacheState$$' -fuzztime 5s
 	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzBufferRanges$$' -fuzztime 5s
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -241,5 +242,36 @@ func TestParityCaseNames(t *testing.T) {
 		if strings.ContainsAny(pc.Name, " \t") {
 			t.Fatalf("parity case name %q contains whitespace", pc.Name)
 		}
+	}
+}
+
+// TestRankDiv: the multiply-high split equals / and % across divisors,
+// small ranks, both sides of every nearby multiple, and the top of the
+// int32 rank space.
+func TestRankDiv(t *testing.T) {
+	pers := []int{255, 256, 1000, 4096, 65535, 1 << 20, math.MaxInt32}
+	for per := 1; per <= 130; per++ {
+		pers = append(pers, per)
+	}
+	for _, per := range pers {
+		d := newRankDiv(per)
+		check := func(rank int) {
+			if rank < 0 || rank > math.MaxInt32 {
+				return
+			}
+			node, local := d.split(rank)
+			if node != rank/per || local != rank%per {
+				t.Fatalf("per %d rank %d: split (%d, %d), want (%d, %d)", per, rank, node, local, rank/per, rank%per)
+			}
+		}
+		for rank := 0; rank < 2048; rank++ {
+			check(rank)
+		}
+		for k := math.MaxInt32 / per; k > 0 && k > math.MaxInt32/per-64; k-- {
+			for _, off := range []int{-1, 0, 1} {
+				check(k*per + off)
+			}
+		}
+		check(math.MaxInt32)
 	}
 }

@@ -10,13 +10,16 @@ import (
 // ladderProgram: rank r's single step waits on rank r-1 and takes r+1 ticks.
 type ladderProgram struct{ ranks int }
 
-func (p *ladderProgram) Ranks() int                 { return p.ranks }
-func (p *ladderProgram) Steps(int) int              { return 1 }
-func (p *ladderProgram) Duration(r, _ int) sim.Tick { return sim.Tick(r + 1) }
-func (p *ladderProgram) Deps(r, _ int, visit func(int, int) bool) {
+func (p *ladderProgram) Ranks() int    { return p.ranks }
+func (p *ladderProgram) Steps(int) int { return 1 }
+func (p *ladderProgram) Step(r, s int, visit func(int, int) bool) sim.Tick {
+	if s > 0 {
+		return sim.NoStep
+	}
 	if r > 0 {
 		visit(r-1, 0)
 	}
+	return sim.Tick(r + 1)
 }
 
 func TestMachineRunProgram(t *testing.T) {

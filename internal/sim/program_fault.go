@@ -85,15 +85,7 @@ func (r *programRunner) halt() error {
 		Dead:       r.dead,
 		HorizonHit: r.halted,
 		Now:        r.haltNow,
-	}
-	for q := range r.waitHead {
-		for w := r.waitHead[q]; w >= 0 && len(e.Waiting) < 8; w = r.waitNext[w] {
-			e.Waiting = append(e.Waiting,
-				fmt.Sprintf("rank%d@%d->rank%d@%d", w, r.done[w], q, r.waitNeed[w]-1))
-		}
-		if len(e.Waiting) >= 8 {
-			break
-		}
+		Waiting:    r.waiting(),
 	}
 	return e
 }

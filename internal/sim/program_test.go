@@ -12,15 +12,18 @@ type tableProgram struct {
 	deps [][][][2]int // [rank][step] -> list of (depRank, depStep)
 }
 
-func (p *tableProgram) Ranks() int             { return len(p.durs) }
-func (p *tableProgram) Steps(rank int) int     { return len(p.durs[rank]) }
-func (p *tableProgram) Duration(r, s int) Tick { return p.durs[r][s] }
-func (p *tableProgram) Deps(r, s int, visit func(int, int) bool) {
+func (p *tableProgram) Ranks() int         { return len(p.durs) }
+func (p *tableProgram) Steps(rank int) int { return len(p.durs[rank]) }
+func (p *tableProgram) Step(r, s int, visit func(int, int) bool) Tick {
+	if s >= len(p.durs[r]) {
+		return NoStep
+	}
 	for _, d := range p.deps[r][s] {
 		if !visit(d[0], d[1]) {
-			return
+			break
 		}
 	}
+	return p.durs[r][s]
 }
 
 func bothEngines(t *testing.T, p Program) (ProgramResult, ProgramResult) {
@@ -202,13 +205,16 @@ func TestProgramFlatMemory(t *testing.T) {
 // serial dependency chain, procedurally generated (no tables).
 type chainProgram struct{ ranks int }
 
-func (p *chainProgram) Ranks() int             { return p.ranks }
-func (p *chainProgram) Steps(int) int          { return 1 }
-func (p *chainProgram) Duration(int, int) Tick { return 1 }
-func (p *chainProgram) Deps(rank, _ int, visit func(int, int) bool) {
+func (p *chainProgram) Ranks() int    { return p.ranks }
+func (p *chainProgram) Steps(int) int { return 1 }
+func (p *chainProgram) Step(rank, s int, visit func(int, int) bool) Tick {
+	if s > 0 {
+		return NoStep
+	}
 	if rank > 0 {
 		visit(rank-1, 0)
 	}
+	return 1
 }
 
 func TestParseEngine(t *testing.T) {
