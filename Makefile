@@ -45,13 +45,15 @@ vet:
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing per target (the event
 # calendar's dispatch order, plan-graph schedules on both engines, the
-# memory model's region tracker and buffer range checks). A crasher is
+# memory model's region tracker and buffer range checks, the serving
+# scheduler under decoded streams and capacity churn). A crasher is
 # written to the package's testdata/fuzz and fails the target.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventCalendar$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzPlanGraphEngines$$' -fuzztime 5s
 	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzCacheState$$' -fuzztime 5s
 	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzBufferRanges$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzServeStream$$' -fuzztime 5s
 
 # Fault-injection sweep: every collective x fault plan must finish clean,
 # fail with a diagnosis naming the victim rank, or be caught by

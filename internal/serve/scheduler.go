@@ -20,6 +20,7 @@ type Scheduler struct {
 	node     *topo.Node
 	override Placement // PlaceAuto respects each job's hint
 	ms       *measurer
+	solo     []int // all-zero co-tenant counts: an uncontended measurement
 
 	freeBySocket [][]int // ascending free core IDs per socket
 	queue        []*job  // FIFO admission queue
@@ -56,6 +57,7 @@ type job struct {
 	remaining float64 // work units left
 	rate      float64 // work units per virtual second under current tenancy
 	outcome   resilient.Outcome
+	fresh     bool // admitted; work not yet measured (recomputeRates does)
 }
 
 // Arrival schedules one job submission at a virtual time.
@@ -102,6 +104,7 @@ func NewScheduler(node *topo.Node, placement Placement) *Scheduler {
 		ms:       newMeasurer(node),
 		offline:  map[int]bool{},
 		draining: map[int]bool{},
+		solo:     make([]int, node.Sockets),
 	}
 	s.freeBySocket = make([][]int, node.Sockets)
 	for sk := 0; sk < node.Sockets; sk++ {
@@ -273,9 +276,7 @@ func (s *Scheduler) admitFromQueue() bool {
 		s.queue = s.queue[1:]
 		j.cores, j.perSocket = cores, perSocket
 		j.admit = s.clock
-		j.work = s.ms.service(j.spec, perSocket, zeros(s.node.Sockets))
-		j.remaining = j.work
-		j.outcome = s.ms.outcome(j.spec, perSocket, zeros(s.node.Sockets))
+		j.fresh = true
 		s.running = append(s.running, j)
 		s.logf("t=%.9f admit job=%d class=%s place=%s sockets=%v wait=%.9f",
 			s.clock, j.id, j.spec.Name, s.effective(j.spec), perSocket, j.admit-j.arrive)
@@ -323,21 +324,43 @@ func (s *Scheduler) complete(j *job) {
 
 // recomputeRates refreshes every running job's fluid rate (and, for
 // fault-seeded tenants, the supervised outcome) for the current tenancy:
-// ext[s] is the number of co-tenant ranks sharing socket s.
+// ext[s] is the number of co-tenant ranks sharing socket s. It follows
+// every admission, so it also sets each fresh job's work from its solo
+// measurement. All of the event's measurement misses go to one prefetch;
+// the loop after it only reads the memo.
 func (s *Scheduler) recomputeRates() {
+	n := s.node.Sockets
+	exts := make([]int, (len(s.running)+1)*n)
+	total := exts[:n] // all leased ranks per socket; job i's ext follows
 	for _, j := range s.running {
-		ext := zeros(s.node.Sockets)
-		for _, k := range s.running {
-			if k == j {
-				continue
-			}
-			for sk, c := range k.perSocket {
-				ext[sk] += c
-			}
+		for sk, c := range j.perSocket {
+			total[sk] += c
 		}
-		st := s.ms.service(j.spec, j.perSocket, ext)
-		j.rate = j.work / st
-		j.outcome = s.ms.outcome(j.spec, j.perSocket, ext)
+	}
+	reqs := make([]request, 0, 2*len(s.running))
+	for i, j := range s.running {
+		if j.fresh {
+			reqs = append(reqs, s.ms.request(j.spec, j.perSocket, s.solo))
+		}
+		ext := exts[(i+1)*n : (i+2)*n]
+		for sk := range ext {
+			ext[sk] = total[sk] - j.perSocket[sk]
+		}
+		reqs = append(reqs, s.ms.request(j.spec, j.perSocket, ext))
+	}
+	s.ms.prefetch(reqs)
+	r := 0
+	for _, j := range s.running {
+		if j.fresh {
+			j.work = s.ms.measure(&reqs[r]).t
+			j.remaining = j.work
+			j.fresh = false
+			r++
+		}
+		m := s.ms.measure(&reqs[r])
+		j.rate = j.work / m.t
+		j.outcome = m.out
+		r++
 	}
 }
 
@@ -367,7 +390,7 @@ func (s *Scheduler) place(spec JobSpec) ([]int, []int, bool) {
 	if spec.Ranks > free {
 		return nil, nil, false
 	}
-	counts := zeros(s.node.Sockets)
+	counts := make([]int, s.node.Sockets)
 	switch s.effective(spec) {
 	case PlaceSpread:
 		// Balance: each rank goes to the socket with the most free cores
@@ -420,5 +443,3 @@ func (s *Scheduler) place(spec JobSpec) ([]int, []int, bool) {
 func (s *Scheduler) logf(format string, args ...any) {
 	s.log = append(s.log, fmt.Sprintf(format, args...))
 }
-
-func zeros(n int) []int { return make([]int, n) }
