@@ -1,17 +1,26 @@
 package yhccl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"yhccl/internal/coll"
+	"yhccl/internal/plan"
+	"yhccl/internal/schedule"
 )
 
 // execMakespan runs one collective through run on a fresh real-data NodeA
 // machine and returns its simulated makespan.
 func execMakespan(t *testing.T, p int, n int64, run func(r *Rank, sb, rb *Buffer)) float64 {
 	t.Helper()
-	m := NewMachine(NodeA(), p, true)
+	return execMakespanOn(t, NewMachine(NodeA(), p, true), n, run)
+}
+
+// execMakespanOn is execMakespan on a given machine.
+func execMakespanOn(t *testing.T, m *Machine, n int64, run func(r *Rank, sb, rb *Buffer)) float64 {
+	t.Helper()
+	p := m.Size()
 	return m.MustRun(func(r *Rank) {
 		// Generous shapes cover every collective's convention (p*n on
 		// both sides); each body slices what it needs.
@@ -86,65 +95,159 @@ func TestExecParity(t *testing.T) {
 	}
 }
 
+// registryCall runs the named registry algorithm of a paper collective
+// directly (root 0 for the rooted ones), bypassing every dispatcher.
+func registryCall(t *testing.T, collective, alg string, n int64, o Options) func(r *Rank, sb, rb *Buffer) {
+	t.Helper()
+	switch collective {
+	case "allreduce":
+		f := coll.AllreduceAlgos[alg]
+		return func(r *Rank, sb, rb *Buffer) { f(r, r.World(), sb, rb, n, Sum, o) }
+	case "reduce-scatter":
+		f := coll.ReduceScatterAlgos[alg]
+		return func(r *Rank, sb, rb *Buffer) { f(r, r.World(), sb, rb, n, Sum, o) }
+	case "reduce":
+		f := coll.ReduceAlgos[alg]
+		return func(r *Rank, sb, rb *Buffer) { f(r, r.World(), sb, rb, n, Sum, 0, o) }
+	case "bcast":
+		f := coll.BcastAlgos[alg]
+		return func(r *Rank, sb, rb *Buffer) { f(r, r.World(), sb, n, 0, o) }
+	case "allgather":
+		f := coll.AllgatherAlgos[alg]
+		return func(r *Rank, sb, rb *Buffer) { f(r, r.World(), sb, rb, n, o) }
+	}
+	t.Fatalf("no registry for %q", collective)
+	return nil
+}
+
+// parityPlans is an in-memory tuned-plan table for p=8 ranks and 8 KB
+// per-rank messages (n=1024). Every entry differs from the hand-tuned
+// switch: fanout graphs for allreduce and reduce-scatter, non-default
+// families with slice/policy/degree params for the other three.
+// Reduce-scatter is keyed on the total message (p*8 KB = 64 KB, bucket
+// 16); a lookup on the per-rank 8 KB would land on the ring buckets.
+func parityPlans(t *testing.T) *plan.Table {
+	t.Helper()
+	entry := func(c string, bucket int, pr plan.Params) plan.Plan {
+		return plan.Plan{Collective: c, Bucket: bucket, SizeBytes: plan.BucketSize(bucket), Params: pr, Source: "searched"}
+	}
+	tab, err := plan.NewTable([]plan.Plan{
+		entry("allreduce", 13, plan.Params{Family: "fanout", Fanout: 2, SliceKB: 4}),
+		entry("reduce-scatter", 13, plan.Params{Family: "ring"}),
+		entry("reduce-scatter", 14, plan.Params{Family: "ring"}),
+		entry("reduce-scatter", 15, plan.Params{Family: "ring"}),
+		entry("reduce-scatter", 16, plan.Params{Family: "fanout", Fanout: 4}),
+		entry("reduce", 13, plan.Params{Family: "rg", SliceKB: 2, RGDegree: 4, Policy: "t-copy"}),
+		entry("bcast", 13, plan.Params{Family: "pipelined", SliceKB: 2, Policy: "nt-copy"}),
+		entry("allgather", 13, plan.Params{Family: "pipelined", SliceKB: 1, Policy: "t-copy"}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 // TestExecParityExtras covers the remaining dispatch modes — the default
 // algorithm of every collective, rooted requests with a non-zero root,
 // tuned and resilient dispatch — against direct calls of the internal
-// implementation the request resolves to.
+// implementation the request resolves to. Tuned cases run twice: on the
+// plain machine (no plans for p=8: the hand-tuned fallback) and on one
+// whose planner holds parityPlans; resilient cases cover every depth of
+// each paper collective's fallback chain.
 func TestExecParityExtras(t *testing.T) {
 	const p, n = 8, 1024
-	planner := func(r *Rank) *coll.Planner { return coll.PlannerOf(r.Machine()) }
-	cases := []struct {
+	tab := parityPlans(t)
+	graph := func(c plan.Coll, f int) *plan.Graph {
+		var g *plan.Graph
+		var err error
+		if c == plan.Allreduce {
+			g, err = plan.AllreduceFromSchedule(schedule.Fanout(p, f))
+		} else {
+			g, err = plan.FromSchedule(schedule.Fanout(p, f))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	arGraph, rsGraph := graph(plan.Allreduce, 2), graph(plan.ReduceScatter, 4)
+	type parityCase struct {
 		name   string
 		direct func(r *Rank, sb, rb *Buffer)
 		req    Req
-	}{
+		tuned  bool // run on the machine holding parityPlans
+	}
+	cases := []parityCase{
 		{"allreduce", func(r *Rank, sb, rb *Buffer) {
 			coll.AllreduceAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, Options{})
-		}, Req{Collective: "allreduce", Count: n}},
+		}, Req{Collective: "allreduce", Count: n}, false},
 		{"reduce-scatter", func(r *Rank, sb, rb *Buffer) {
 			coll.ReduceScatterAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, Options{})
-		}, Req{Collective: "reduce-scatter", Count: n}},
+		}, Req{Collective: "reduce-scatter", Count: n}, false},
 		{"reduce", func(r *Rank, sb, rb *Buffer) {
 			coll.ReduceAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, 2, Options{})
-		}, Req{Collective: "reduce", Root: 2, Count: n}},
+		}, Req{Collective: "reduce", Root: 2, Count: n}, false},
 		{"bcast", func(r *Rank, sb, rb *Buffer) {
 			coll.BcastAlgos["yhccl"](r, r.World(), sb, n, 1, Options{})
-		}, Req{Collective: "bcast", Root: 1, Count: n}},
+		}, Req{Collective: "bcast", Root: 1, Count: n}, false},
 		{"allgather", func(r *Rank, sb, rb *Buffer) {
 			coll.AllgatherAlgos["yhccl"](r, r.World(), sb, rb, n, Options{})
-		}, Req{Collective: "allgather", Count: n}},
+		}, Req{Collective: "allgather", Count: n}, false},
 		{"gather", func(r *Rank, sb, rb *Buffer) {
 			coll.GatherAlgos["yhccl"](r, r.World(), sb, rb, n, 0, Options{})
-		}, Req{Collective: "gather", Count: n}},
+		}, Req{Collective: "gather", Count: n}, false},
 		{"scatter", func(r *Rank, sb, rb *Buffer) {
 			coll.ScatterAlgos["yhccl"](r, r.World(), sb, rb, n, 0, Options{})
-		}, Req{Collective: "scatter", Count: n}},
+		}, Req{Collective: "scatter", Count: n}, false},
 		{"alltoall", func(r *Rank, sb, rb *Buffer) {
 			coll.AlltoallAlgos["yhccl"](r, r.World(), sb, rb, n, Options{})
-		}, Req{Collective: "alltoall", Count: n}},
+		}, Req{Collective: "alltoall", Count: n}, false},
 		{"scan", func(r *Rank, sb, rb *Buffer) {
 			coll.ScanAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, Options{})
-		}, Req{Collective: "scan", Count: n}},
+		}, Req{Collective: "scan", Count: n}, false},
 		{"tuned-allreduce", func(r *Rank, sb, rb *Buffer) {
-			coll.TunedAllreduce(planner(r), r, r.World(), sb, rb, n, Sum, Options{})
-		}, Req{Collective: "allreduce", Tuned: true, Count: n}},
+			coll.AllreduceAlgos["yhccl"](r, r.World(), sb, rb, n, Sum, Options{})
+		}, Req{Collective: "allreduce", Tuned: true, Count: n}, false},
 		{"tuned-allgather", func(r *Rank, sb, rb *Buffer) {
-			coll.TunedAllgather(planner(r), r, r.World(), sb, rb, n, Options{})
-		}, Req{Collective: "allgather", Tuned: true, Count: n}},
-		{"resilient-allreduce-depth1", func(r *Rank, sb, rb *Buffer) {
-			o := Options{FallbackDepth: 1}
-			_, f, err := coll.ResilientAR("yhccl", o)
-			if err != nil {
-				t.Errorf("resilient: %v", err)
-				return
-			}
-			f(r, r.World(), sb, rb, n, Sum, o)
-		}, Req{Collective: "allreduce", Resilience: true, Count: n, Options: Options{FallbackDepth: 1}}},
+			coll.AllgatherAlgos["yhccl"](r, r.World(), sb, rb, n, Options{})
+		}, Req{Collective: "allgather", Tuned: true, Count: n}, false},
+		{"planned-allreduce", func(r *Rank, sb, rb *Buffer) {
+			coll.AllreduceGraph(r, r.World(), arGraph, sb, rb, n, Sum, Options{SliceMaxBytes: 4 << 10})
+		}, Req{Collective: "allreduce", Tuned: true, Count: n}, true},
+		{"planned-reduce-scatter", func(r *Rank, sb, rb *Buffer) {
+			coll.ReduceScatterGraph(r, r.World(), rsGraph, sb, rb, n, Sum, Options{})
+		}, Req{Collective: "reduce-scatter", Tuned: true, Count: n}, true},
+		{"planned-reduce", func(r *Rank, sb, rb *Buffer) {
+			o := Options{SliceMaxBytes: 2 << 10, RGDegree: 4}.WithPolicy(TCopy)
+			coll.ReduceAlgos["rg"](r, r.World(), sb, rb, n, Sum, 2, o)
+		}, Req{Collective: "reduce", Tuned: true, Root: 2, Count: n}, true},
+		{"planned-bcast", func(r *Rank, sb, rb *Buffer) {
+			o := Options{SliceMaxBytes: 2 << 10}.WithPolicy(NTCopy)
+			coll.BcastAlgos["pipelined"](r, r.World(), sb, n, 1, o)
+		}, Req{Collective: "bcast", Tuned: true, Root: 1, Count: n}, true},
+		{"planned-allgather", func(r *Rank, sb, rb *Buffer) {
+			o := Options{SliceMaxBytes: 1 << 10}.WithPolicy(TCopy)
+			coll.AllgatherAlgos["pipelined"](r, r.World(), sb, rb, n, o)
+		}, Req{Collective: "allgather", Tuned: true, Count: n}, true},
+	}
+	for _, c := range []string{"allreduce", "reduce-scatter", "reduce", "bcast", "allgather"} {
+		for d, alg := range coll.FallbackChain(c, "yhccl") {
+			o := Options{FallbackDepth: d}
+			cases = append(cases, parityCase{fmt.Sprintf("resilient-%s-depth%d", c, d), registryCall(t, c, alg, n, o),
+				Req{Collective: c, Resilience: true, Count: n, Options: o}, false})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			directT := execMakespan(t, p, n, tc.direct)
-			execT := execMakespan(t, p, n, func(r *Rank, sb, rb *Buffer) {
+			machine := func() *Machine {
+				m := NewMachine(NodeA(), p, true)
+				if tc.tuned {
+					m.SetTuning(coll.NewPlanner(tab))
+				}
+				return m
+			}
+			directT := execMakespanOn(t, machine(), n, tc.direct)
+			execT := execMakespanOn(t, machine(), n, func(r *Rank, sb, rb *Buffer) {
 				q := tc.req
 				q.Send, q.Recv = sb, rb
 				if err := Exec(r, q); err != nil {

@@ -21,6 +21,9 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/determinism.golden from the current implementation")
 
+var updateFigures = flag.Bool("update-figures", false,
+	"rewrite testdata/figures.golden from the current implementation")
+
 // goldenCase is one collective execution whose simulated time and traffic
 // counters are fingerprinted bit-for-bit.
 type goldenCase struct {
@@ -205,17 +208,28 @@ func TestGoldenRunTwiceIdentical(t *testing.T) {
 // TestFigureDeterminism regenerates quick figure sweeps twice and requires
 // every series value to be bit-identical, guarding the scheduler fast
 // paths across the full experiment harness (flags, barriers, residency,
-// DAV counters all folded into the Y values).
+// DAV counters all folded into the Y values). The first run of each figure
+// is also compared with testdata/figures.golden (hex floats, so every
+// mantissa bit counts); regenerate only for intentional model changes with:
+// go test ./internal/bench -run TestFigureDeterminism -update-figures
 func TestFigureDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweeps in -short mode")
 	}
+	var golden strings.Builder
 	for _, id := range []string{"fig9a", "fig11a"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			f1, err := Run(id, true)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, s := range f1.Series {
+				fmt.Fprintf(&golden, "%s %q", id, s.Name)
+				for _, v := range s.Y {
+					fmt.Fprintf(&golden, " %x", v)
+				}
+				fmt.Fprintln(&golden)
 			}
 			f2, err := Run(id, true)
 			if err != nil {
@@ -237,5 +251,21 @@ func TestFigureDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+	got := golden.String()
+	path := filepath.Join("testdata", "figures.golden")
+	if *updateFigures {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-figures to record): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("figure values diverged from recorded golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
