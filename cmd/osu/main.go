@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"yhccl"
+	"yhccl/internal/coll"
 	"yhccl/internal/fault"
 	"yhccl/internal/memmodel"
 	"yhccl/internal/mpi"
@@ -202,26 +203,17 @@ func exec(r *mpi.Rank, q yhccl.Req, failure *error) {
 // leaves them.
 func makeBody(m *mpi.Machine, collective, alg string, s int64, failure *error) (func(r *mpi.Rank), error) {
 	n := max(s/memmodel.ElemSize, 1)
-	p := int64(m.Size())
-	sbLen, rbLen := n, n
-	switch collective {
-	case "allreduce", "reduce", "bcast", "scan":
-	case "reduce-scatter":
-		n = max(n/p, 1)
-		sbLen, rbLen = n*p, n
-	case "allgather", "gather":
-		rbLen = n * p
-	case "scatter":
-		sbLen = n * p
-	case "alltoall":
-		sbLen, rbLen = n*p, n*p
-	default:
+	if collective == "reduce-scatter" {
+		n = max(n/int64(m.Size()), 1)
+	}
+	sbLen, rbLen := coll.Shape(collective, m.Size(), n)
+	if sbLen == 0 {
 		return nil, fmt.Errorf("unknown collective %q", collective)
 	}
 	return func(r *mpi.Rank) {
 		q := yhccl.Req{Collective: collective, Alg: alg, Count: n}
 		q.Send = r.PersistentBuffer("osu/sb", sbLen)
-		if collective != "bcast" {
+		if rbLen > 0 {
 			q.Recv = r.PersistentBuffer("osu/rb", rbLen)
 		}
 		if collective != "scatter" || r.ID() == 0 {

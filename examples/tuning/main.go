@@ -47,13 +47,14 @@ func main() {
 		// same steady-state harness the figures use, so re-measuring the
 		// tuned dispatch reproduces it exactly — the cache is a memoization,
 		// not an approximation.
-		planner := coll.NewPlanner(table)
+		tuned, err := coll.BindTuned(coll.NewPlanner(table), "allreduce")
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-9s %-28s %12s %12s  (all-reduce, NodeA p=64)\n", "msg", "plan", "predicted", "measured")
 		for _, s := range []int64{64 << 10, 1 << 20, 16 << 20, 256 << 20} {
 			entry := table.Lookup(plan.Allreduce, s)
-			measured := bench.MeasureAllreduce(node, p, func(r *yhccl.Rank, cm *yhccl.Comm, sb, rb *yhccl.Buffer, n int64, op yhccl.Op, o yhccl.Options) {
-				coll.TunedAllreduce(planner, r, cm, sb, rb, n, op, o)
-			}, s, bench.NodeOptions(node))
+			measured := bench.Measure(node, p, "allreduce", tuned, s, bench.NodeOptions(node))
 			fmt.Printf("%6dKB  %-28s %10.3es %10.3es\n",
 				s>>10, entry.Params.String(), entry.PredictedSeconds, measured)
 		}

@@ -52,16 +52,6 @@ type Req struct {
 	Count      int64
 }
 
-// paperCollective reports whether Tuned/Resilience dispatch exists for the
-// collective (the five the paper evaluates).
-func paperCollective(c string) bool {
-	switch c {
-	case "allreduce", "reduce-scatter", "reduce", "bcast", "allgather":
-		return true
-	}
-	return false
-}
-
 // normalizeCollective folds accepted aliases onto canonical names.
 func normalizeCollective(c string) string {
 	switch c {
@@ -94,7 +84,7 @@ func (q Req) validate() (Req, error) {
 	if q.Tuned && q.Alg != "" {
 		return q, fmt.Errorf("yhccl: %s: Tuned dispatch picks the algorithm; Alg %q conflicts", q.Collective, q.Alg)
 	}
-	if (q.Tuned || q.Resilience) && !paperCollective(q.Collective) {
+	if (q.Tuned || q.Resilience) && !coll.PaperCollective(q.Collective) {
 		mode := "Tuned"
 		if q.Resilience {
 			mode = "Resilience"
@@ -123,135 +113,28 @@ func (q Req) validate() (Req, error) {
 }
 
 // Exec runs one collective described by q on r's world communicator. It
-// returns an error for malformed requests (unknown collective or
-// algorithm, conflicting dispatch modes, missing buffers) before any data
-// moves; a valid request executes exactly what a direct call of the
-// resolved internal implementation would.
+// validates the request — unknown collective or algorithm, conflicting
+// dispatch modes, missing buffers are errors before any data moves — and
+// hands it to the collective binder (internal/coll): a valid request
+// executes exactly what a direct call of the resolved implementation
+// would.
 func Exec(r *Rank, q Req) error {
 	q, err := q.validate()
 	if err != nil {
 		return err
 	}
-	c := r.World()
-	sb, rb, n := q.Send, q.Recv, q.Count
-	switch q.Collective {
-	case "allreduce":
-		if q.Tuned {
-			coll.TunedAllreduce(plannerOf(r), r, c, sb, rb, n, q.Op, q.Options)
-			return nil
-		}
-		f, err := resolveAR(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Options)
-	case "reduce-scatter":
-		if q.Tuned {
-			coll.TunedReduceScatter(plannerOf(r), r, c, sb, rb, n, q.Op, q.Options)
-			return nil
-		}
-		f, err := resolveRS(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Options)
-	case "reduce":
-		if q.Tuned {
-			coll.TunedReduce(plannerOf(r), r, c, sb, rb, n, q.Op, q.Root, q.Options)
-			return nil
-		}
-		f, err := resolveReduce(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Root, q.Options)
-	case "bcast":
-		if q.Tuned {
-			coll.TunedBcast(plannerOf(r), r, c, sb, n, q.Root, q.Options)
-			return nil
-		}
-		f, err := resolveBcast(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, n, q.Root, q.Options)
-	case "allgather":
-		if q.Tuned {
-			coll.TunedAllgather(plannerOf(r), r, c, sb, rb, n, q.Options)
-			return nil
-		}
-		f, err := resolveAG(q)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Options)
-	case "gather":
-		f, err := coll.Lookup(coll.GatherAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Root, q.Options)
-	case "scatter":
-		f, err := coll.Lookup(coll.ScatterAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Root, q.Options)
-	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Options)
-	case "scan":
-		f, err := coll.Lookup(coll.ScanAlgos, q.Alg)
-		if err != nil {
-			return err
-		}
-		f(r, c, sb, rb, n, q.Op, q.Options)
+	var f coll.Call
+	switch {
+	case q.Tuned:
+		f, err = coll.BindTuned(plannerOf(r), q.Collective)
+	case q.Resilience:
+		f, err = coll.BindResilient(q.Collective, q.Alg, q.Options.FallbackDepth)
+	default:
+		f, err = coll.Bind(q.Collective, q.Alg)
 	}
+	if err != nil {
+		return err
+	}
+	f(r, r.World(), q.Send, q.Recv, q.Count, q.Op, q.Root, q.Options)
 	return nil
-}
-
-// resolveAR picks the all-reduce implementation for a validated request:
-// resilient chain dispatch when asked, plain registry lookup otherwise
-// (uninstrumented, keeping the healthy path identical to a direct call).
-func resolveAR(q Req) (coll.ARFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientAR(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.AllreduceAlgos, q.Alg)
-}
-
-func resolveRS(q Req) (coll.RSFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientRS(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.ReduceScatterAlgos, q.Alg)
-}
-
-func resolveReduce(q Req) (coll.ReduceFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientReduce(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.ReduceAlgos, q.Alg)
-}
-
-func resolveBcast(q Req) (coll.BcastFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientBcast(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.BcastAlgos, q.Alg)
-}
-
-func resolveAG(q Req) (coll.AGFunc, error) {
-	if q.Resilience {
-		_, f, err := coll.ResilientAG(q.Alg, q.Options)
-		return f, err
-	}
-	return coll.Lookup(coll.AllgatherAlgos, q.Alg)
 }

@@ -33,7 +33,7 @@ func ablSlice(quick bool) (*Figure, error) {
 	}
 	ys := make([]float64, len(imaxes))
 	for i, imax := range imaxes {
-		ys[i] = MeasureAllreduce(node, 64, coll.AllreduceSocketMA, s, coll.Options{SliceMaxBytes: imax})
+		ys[i] = measureAllreduce(node, 64, "socket-ma", s, coll.Options{SliceMaxBytes: imax})
 	}
 	f.Series = []Series{{Name: "socket-MA all-reduce", Y: ys}}
 	return f, nil
@@ -49,10 +49,10 @@ func ablSocket(quick bool) (*Figure, error) {
 		Notes: []string{"socket-aware pays +2(m-1)s DAV for p/m-deep sync chains instead of p-deep"},
 	}
 	f.Series = append(f.Series, Series{Name: "socket-aware", Y: sweep(sizes, func(s int64) float64 {
-		return MeasureAllreduce(node, 48, coll.AllreduceSocketMA, s, NodeOptions(node))
+		return measureAllreduce(node, 48, "socket-ma", s, NodeOptions(node))
 	})})
 	f.Series = append(f.Series, Series{Name: "flat MA", Y: sweep(sizes, func(s int64) float64 {
-		return MeasureAllreduce(node, 48, coll.AllreduceMA, s, NodeOptions(node))
+		return measureAllreduce(node, 48, "ma", s, NodeOptions(node))
 	})})
 	return f, nil
 }
@@ -75,10 +75,10 @@ func ablCacheRule(quick bool) (*Figure, error) {
 		},
 	}
 	f.Series = append(f.Series, Series{Name: "non-inclusive rule", Y: sweep(sizes, func(s int64) float64 {
-		return MeasureAllreduce(normal, 64, coll.AllreduceSocketMA, s, coll.Options{})
+		return measureAllreduce(normal, 64, "socket-ma", s, coll.Options{})
 	})})
 	f.Series = append(f.Series, Series{Name: "inclusive rule", Y: sweep(sizes, func(s int64) float64 {
-		return MeasureAllreduce(inclusive, 64, coll.AllreduceSocketMA, s, coll.Options{})
+		return measureAllreduce(inclusive, 64, "socket-ma", s, coll.Options{})
 	})})
 	return f, nil
 }
@@ -100,7 +100,7 @@ func ablSwitch(quick bool) (*Figure, error) {
 		s := s
 		ys := make([]float64, len(thresholds))
 		for i, th := range thresholds {
-			ys[i] = MeasureAllreduce(node, 48, coll.AllreduceYHCCL, s, coll.Options{SwitchSmallBytes: th})
+			ys[i] = measureAllreduce(node, 48, "yhccl", s, coll.Options{SwitchSmallBytes: th})
 		}
 		f.Series = append(f.Series, Series{Name: "msg " + ByteSize(s), Y: ys})
 	}
@@ -118,8 +118,14 @@ func ablRGDegree(quick bool) (*Figure, error) {
 	}
 	ys := make([]float64, len(degrees))
 	for i, k := range degrees {
-		ys[i] = MeasureAllreduce(node, 64, coll.AllreduceRG, s, coll.Options{RGDegree: int(k)})
+		ys[i] = measureAllreduce(node, 64, "rg", s, coll.Options{RGDegree: int(k)})
 	}
 	f.Series = []Series{{Name: "RG all-reduce", Y: ys}}
 	return f, nil
+}
+
+// measureAllreduce measures a registry all-reduce, the ablations'
+// collective.
+func measureAllreduce(node *topo.Node, p int, alg string, sBytes int64, o coll.Options) float64 {
+	return Measure(node, p, "allreduce", bind("allreduce", alg), sBytes, o)
 }

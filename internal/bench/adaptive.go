@@ -21,27 +21,14 @@ func init() {
 	register("fig14b", "Adaptive pipelined all-gather vs fixed copy kinds, NodeB p=48", figAdaptive("fig14b", topo.NodeB(), 48, collectiveAllgather))
 }
 
-type policyCollective int
+// policyCollective is the YHCCL algorithm a copy-policy figure runs.
+type policyCollective struct{ collective, alg, title string }
 
-const (
-	collectiveAllreduce policyCollective = iota
-	collectiveBcast
-	collectiveAllgather
+var (
+	collectiveAllreduce = policyCollective{"allreduce", "socket-ma", "all-reduce"}
+	collectiveBcast     = policyCollective{"bcast", "pipelined", "pipelined broadcast"}
+	collectiveAllgather = policyCollective{"allgather", "pipelined", "pipelined all-gather"}
 )
-
-// measureWithPolicy runs the collective with a forced copy policy.
-func measureWithPolicy(kind policyCollective, node *topo.Node, p int, pol memcopy.Policy, sBytes int64) float64 {
-	o := NodeOptions(node).WithPolicy(pol)
-	switch kind {
-	case collectiveAllreduce:
-		return MeasureAllreduce(node, p, coll.AllreduceSocketMA, sBytes, o)
-	case collectiveBcast:
-		return MeasureBcast(node, p, coll.BcastPipelined, sBytes, o)
-	case collectiveAllgather:
-		return MeasureAllgather(node, p, coll.AllgatherPipelined, sBytes, o)
-	}
-	panic("bench: unknown policy collective")
-}
 
 func figAdaptive(id string, node *topo.Node, p int, kind policyCollective) Runner {
 	return func(quick bool) (*Figure, error) {
@@ -60,14 +47,9 @@ func figAdaptive(id string, node *topo.Node, p int, kind policyCollective) Runne
 			{"nt-copy", memcopy.NTCopy},
 			{"Memmove", memcopy.Memmove},
 		}
-		title := map[policyCollective]string{
-			collectiveAllreduce: "all-reduce",
-			collectiveBcast:     "pipelined broadcast",
-			collectiveAllgather: "pipelined all-gather",
-		}[kind]
 		f := &Figure{
 			ID:       id,
-			Title:    fmt.Sprintf("Adaptive %s vs fixed copy kinds (%s, p=%d)", title, node.Name, p),
+			Title:    fmt.Sprintf("Adaptive %s vs fixed copy kinds (%s, p=%d)", kind.title, node.Name, p),
 			XLabel:   "Msg bytes",
 			XValues:  sizes,
 			YLabel:   "time (us)",
@@ -78,10 +60,11 @@ func figAdaptive(id string, node *topo.Node, p int, kind policyCollective) Runne
 				"predicted t->nt switch point: %s (W > C rule, C = %s)",
 				ByteSize(PredictedSwitchBytes(node, p)), ByteSize(node.AvailableCache(p))))
 		}
+		call := bind(kind.collective, kind.alg)
 		for _, pp := range policies {
-			pp := pp
+			o := NodeOptions(node).WithPolicy(pp.pol)
 			f.Series = append(f.Series, Series{Name: pp.name, Y: sweep(sizes, func(s int64) float64 {
-				return measureWithPolicy(kind, node, p, pp.pol, s)
+				return Measure(node, p, kind.collective, call, s, o)
 			})})
 		}
 		return f, nil

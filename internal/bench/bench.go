@@ -279,78 +279,49 @@ func steadyState(m *mpi.Machine, body func(r *mpi.Rank)) float64 {
 	return m.MustRun(body)
 }
 
-// The Measure* functions are the exact harness the figures use — same
-// steady-state warm-up contract, same machine construction — and are
+// Measure is the exact harness the figures use — same
+// steady-state warm-up contract, same machine construction — and is
 // exported for the plan tuner (internal/tune), so a tuner candidate and a
 // figure baseline see identical simulated times. That identity is what
 // makes the "synthesized plans beat or match every hand-written algorithm"
 // gate hold exactly on ties: the tuner's seed candidates ARE the figure
 // baselines, measured by the same code.
 
-// MeasureAllreduce measures an all-reduce algorithm at message sBytes on a
-// fresh machine, returning the steady-state simulated seconds.
-func MeasureAllreduce(node *topo.Node, p int, alg coll.ARFunc, sBytes int64, o coll.Options) float64 {
+// Measure measures one call of a collective at message sBytes (the total
+// message for reduce-scatter, the per-rank message otherwise) on a fresh
+// p-rank machine, returning the steady-state simulated seconds. The
+// application updates its buffers each iteration, so the send buffer is
+// warmed before the call, and so is the receive buffer of the reductions;
+// all-gather's p-times-larger output is left cold.
+func Measure(node *topo.Node, p int, collective string, call coll.Call, sBytes int64, o coll.Options) float64 {
 	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n)
-		rb := r.PersistentBuffer("bench/rb", n)
-		r.Warm(sb, 0, n) // the application updates buffers each iteration
-		r.Warm(rb, 0, n)
-		alg(r, r.World(), sb, rb, n, mpi.Sum, o)
-	})
-}
-
-// MeasureReduceScatter measures a reduce-scatter at total message sBytes.
-func MeasureReduceScatter(node *topo.Node, p int, alg coll.RSFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize / int64(p)
-	if n < 1 {
-		n = 1
+	if collective == "reduce-scatter" {
+		n = max(n/int64(p), 1)
 	}
+	send, recv := coll.Shape(collective, p, n)
 	m := mpi.NewMachine(node, p, false)
 	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n*int64(p))
-		rb := r.PersistentBuffer("bench/rb", n)
-		r.Warm(sb, 0, n*int64(p))
-		r.Warm(rb, 0, n)
-		alg(r, r.World(), sb, rb, n, mpi.Sum, o)
+		sb := r.PersistentBuffer("bench/sb", send)
+		var rb *memmodel.Buffer
+		if recv > 0 {
+			rb = r.PersistentBuffer("bench/rb", recv)
+		}
+		r.Warm(sb, 0, send)
+		if rb != nil && collective != "allgather" {
+			r.Warm(rb, 0, recv)
+		}
+		call(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
 	})
 }
 
-// MeasureReduce measures a rooted reduce at message sBytes.
-func MeasureReduce(node *topo.Node, p int, alg coll.ReduceFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n)
-		rb := r.PersistentBuffer("bench/rb", n)
-		r.Warm(sb, 0, n)
-		r.Warm(rb, 0, n)
-		alg(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
-	})
-}
-
-// MeasureBcast measures a broadcast at message sBytes.
-func MeasureBcast(node *topo.Node, p int, alg coll.BcastFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		buf := r.PersistentBuffer("bench/buf", n)
-		r.Warm(buf, 0, n)
-		alg(r, r.World(), buf, n, 0, o)
-	})
-}
-
-// MeasureAllgather measures an all-gather at per-rank contribution sBytes.
-func MeasureAllgather(node *topo.Node, p int, alg coll.AGFunc, sBytes int64, o coll.Options) float64 {
-	n := sBytes / memmodel.ElemSize
-	m := mpi.NewMachine(node, p, false)
-	return steadyState(m, func(r *mpi.Rank) {
-		sb := r.PersistentBuffer("bench/sb", n)
-		rb := r.PersistentBuffer("bench/rb", n*int64(p))
-		r.Warm(sb, 0, n)
-		alg(r, r.World(), sb, rb, n, o)
-	})
+// bind resolves a registry algorithm for a figure; figure algorithm names
+// are fixed, so a miss is a harness bug.
+func bind(collective, alg string) coll.Call {
+	f, err := coll.Bind(collective, alg)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // sweep fills a Figure series by applying measure to each size.

@@ -21,148 +21,62 @@ import (
 // why kernel-assisted baselines cannot ride a warm cache.
 
 func init() {
-	register("fig15a", "Reduce-scatter vs state-of-the-art stand-ins, NodeA p=64", fig15ReduceScatter)
-	register("fig15b", "Reduce vs state-of-the-art stand-ins, NodeA p=64", fig15Reduce)
-	register("fig15c", "All-reduce vs state-of-the-art stand-ins, NodeA p=64", fig15Allreduce)
-	register("fig15d", "Broadcast vs state-of-the-art stand-ins, NodeA p=64", fig15Bcast)
-	register("fig15e", "All-gather vs state-of-the-art stand-ins, NodeA p=64", fig15Allgather)
+	for _, pn := range fig15Panels {
+		register(pn.id, pn.desc, fig15(pn))
+	}
 }
 
 const fig15P = 64
 
-func fig15Node() *topo.Node { return topo.NodeA() }
+// legend pairs a figure series with the registry algorithm it measures.
+type legend struct{ name, alg string }
 
-func fig15ReduceScatter(quick bool) (*Figure, error) {
-	sizes := MsgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.RSFunc
-	}{
-		{"YHCCL", coll.ReduceScatterYHCCL},
-		{"DPML", coll.ReduceScatterDPML},
-		{"Intel MPI", coll.ReduceScatterRabenseifner},
-		{"MVAPICH2", coll.ReduceScatterTwoLevel},
-		{"MPICH", coll.ReduceScatterRing},
-		{"Open MPI", coll.ReduceScatterRing},
-		{"XPMEM", coll.ReduceScatterXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15a", Title: "Reduce-scatter vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return MeasureReduceScatter(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
+// fig15Panel is one Fig. 15 panel: a collective swept against the
+// production stand-ins, YHCCL first (the relative-time baseline).
+type fig15Panel struct {
+	id, desc, title, collective string
+	sizes                       func(quick bool) []int64
+	algs                        []legend
+	notes                       []string
 }
 
-func fig15Reduce(quick bool) (*Figure, error) {
-	sizes := MsgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.ReduceFunc
-	}{
-		{"YHCCL", coll.ReduceYHCCL},
-		{"RG", coll.ReduceRG},
-		{"Intel MPI", coll.ReduceRG},
-		{"MVAPICH2", coll.ReduceTwoLevel},
-		{"MPICH", coll.ReduceDPML},
-		{"Open MPI", coll.ReduceDPML},
-		{"XPMEM", coll.ReduceXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15b", Title: "Reduce vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return MeasureReduce(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
+var fig15Panels = []fig15Panel{
+	{"fig15a", "Reduce-scatter vs state-of-the-art stand-ins, NodeA p=64", "Reduce-scatter", "reduce-scatter", MsgSizes, []legend{
+		{"YHCCL", "yhccl"}, {"DPML", "dpml"}, {"Intel MPI", "rabenseifner"}, {"MVAPICH2", "two-level"},
+		{"MPICH", "ring"}, {"Open MPI", "ring"}, {"XPMEM", "xpmem"},
+	}, nil},
+	{"fig15b", "Reduce vs state-of-the-art stand-ins, NodeA p=64", "Reduce", "reduce", MsgSizes, []legend{
+		{"YHCCL", "yhccl"}, {"RG", "rg"}, {"Intel MPI", "rg"}, {"MVAPICH2", "two-level"},
+		{"MPICH", "dpml"}, {"Open MPI", "dpml"}, {"XPMEM", "xpmem"},
+	}, nil},
+	{"fig15c", "All-reduce vs state-of-the-art stand-ins, NodeA p=64", "All-reduce", "allreduce", MsgSizes, []legend{
+		{"YHCCL", "yhccl"}, {"DPML", "dpml"}, {"RG", "rg"}, {"Intel MPI", "rg"}, {"MVAPICH2", "two-level"},
+		{"MPICH", "rabenseifner"}, {"Open MPI", "cma"}, {"XPMEM", "xpmem"},
+	}, nil},
+	{"fig15d", "Broadcast vs state-of-the-art stand-ins, NodeA p=64", "Broadcast", "bcast", MsgSizes, []legend{
+		{"YHCCL", "yhccl"}, {"Intel MPI", "binomial"}, {"MVAPICH2", "binomial"}, {"MPICH", "binomial"},
+		{"Open MPI", "cma"}, {"XPMEM", "xpmem"},
+	}, []string{"XPMEM overtakes YHCCL past the memmove NT threshold (paper §5.5)"}},
+	{"fig15e", "All-gather vs state-of-the-art stand-ins, NodeA p=64", "All-gather", "allgather", SmallMsgSizes, []legend{
+		{"YHCCL", "yhccl"}, {"Intel MPI", "ring"}, {"MVAPICH2", "ring"}, {"MPICH", "ring"},
+		{"Open MPI", "ring"}, {"XPMEM", "xpmem"},
+	}, nil},
 }
 
-func fig15Allreduce(quick bool) (*Figure, error) {
-	sizes := MsgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.ARFunc
-	}{
-		{"YHCCL", coll.AllreduceYHCCL},
-		{"DPML", coll.AllreduceDPML},
-		{"RG", coll.AllreduceRG},
-		{"Intel MPI", coll.AllreduceRG},
-		{"MVAPICH2", coll.AllreduceTwoLevel},
-		{"MPICH", coll.AllreduceRabenseifner},
-		{"Open MPI", coll.AllreduceCMA},
-		{"XPMEM", coll.AllreduceXPMEM},
+func fig15(pn fig15Panel) Runner {
+	return func(quick bool) (*Figure, error) {
+		sizes := pn.sizes(quick)
+		f := &Figure{
+			ID: pn.id, Title: pn.title + " vs state-of-the-art (NodeA, p=64)",
+			XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
+			Notes: pn.notes,
+		}
+		for _, a := range pn.algs {
+			call := bind(pn.collective, a.alg)
+			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
+				return Measure(topo.NodeA(), fig15P, pn.collective, call, s, coll.Options{})
+			})})
+		}
+		return f, nil
 	}
-	f := &Figure{
-		ID: "fig15c", Title: "All-reduce vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return MeasureAllreduce(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
-}
-
-func fig15Bcast(quick bool) (*Figure, error) {
-	sizes := MsgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.BcastFunc
-	}{
-		{"YHCCL", coll.BcastPipelined},
-		{"Intel MPI", coll.BcastBinomial},
-		{"MVAPICH2", coll.BcastBinomial},
-		{"MPICH", coll.BcastBinomial},
-		{"Open MPI", coll.BcastCMA},
-		{"XPMEM", coll.BcastXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15d", Title: "Broadcast vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-		Notes: []string{"XPMEM overtakes YHCCL past the memmove NT threshold (paper §5.5)"},
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return MeasureBcast(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
-}
-
-func fig15Allgather(quick bool) (*Figure, error) {
-	sizes := SmallMsgSizes(quick)
-	algs := []struct {
-		name string
-		f    coll.AGFunc
-	}{
-		{"YHCCL", coll.AllgatherPipelined},
-		{"Intel MPI", coll.AllgatherRing},
-		{"MVAPICH2", coll.AllgatherRing},
-		{"MPICH", coll.AllgatherRing},
-		{"Open MPI", coll.AllgatherRing},
-		{"XPMEM", coll.AllgatherXPMEM},
-	}
-	f := &Figure{
-		ID: "fig15e", Title: "All-gather vs state-of-the-art (NodeA, p=64)",
-		XLabel: "Msg bytes", XValues: sizes, YLabel: "time (us)", Baseline: "YHCCL",
-	}
-	for _, a := range algs {
-		a := a
-		f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-			return MeasureAllgather(fig15Node(), fig15P, a.f, s, coll.Options{})
-		})})
-	}
-	return f, nil
 }

@@ -31,101 +31,47 @@ func NodeOptions(node *topo.Node) coll.Options {
 	return o
 }
 
-func figReduceScatter(node *topo.Node, p int) Runner {
-	return func(quick bool) (*Figure, error) {
-		sizes := MsgSizes(quick)
-		o := NodeOptions(node)
-		algs := []struct {
-			name string
-			f    coll.RSFunc
-		}{
-			{"Socket-aware MA (ours)", coll.ReduceScatterSocketMA},
-			{"MA (ours)", coll.ReduceScatterMA},
-			{"DPML", coll.ReduceScatterDPML},
-			{"Ring", coll.ReduceScatterRing},
-			{"Rabenseifner", coll.ReduceScatterRabenseifner},
+// figCompare is one Figs. 9-11 panel: a collective swept over the
+// movement-avoiding family and the baselines on node with p ranks, with
+// the paper's per-node tuning; the socket-aware MA series is the
+// relative-time baseline.
+func figCompare(fig, what, collective string, algs []legend) func(node *topo.Node, p int) Runner {
+	return func(node *topo.Node, p int) Runner {
+		return func(quick bool) (*Figure, error) {
+			sizes := MsgSizes(quick)
+			o := NodeOptions(node)
+			f := &Figure{
+				ID:       fig + nodeSuffix(node),
+				Title:    fmt.Sprintf("%s comparison (%s, p=%d)", what, node.Name, p),
+				XLabel:   "Msg bytes",
+				XValues:  sizes,
+				YLabel:   "time (us)",
+				Baseline: "Socket-aware MA (ours)",
+			}
+			for _, a := range algs {
+				call := bind(collective, a.alg)
+				f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
+					return Measure(node, p, collective, call, s, o)
+				})})
+			}
+			return f, nil
 		}
-		f := &Figure{
-			ID:       fmt.Sprintf("fig9%s", nodeSuffix(node)),
-			Title:    fmt.Sprintf("Reduce-scatter comparison (%s, p=%d)", node.Name, p),
-			XLabel:   "Msg bytes",
-			XValues:  sizes,
-			YLabel:   "time (us)",
-			Baseline: "Socket-aware MA (ours)",
-		}
-		for _, a := range algs {
-			a := a
-			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return MeasureReduceScatter(node, p, a.f, s, o)
-			})})
-		}
-		return f, nil
 	}
 }
 
-func figReduce(node *topo.Node, p int) Runner {
-	return func(quick bool) (*Figure, error) {
-		sizes := MsgSizes(quick)
-		o := NodeOptions(node)
-		algs := []struct {
-			name string
-			f    coll.ReduceFunc
-		}{
-			{"Socket-aware MA (ours)", coll.ReduceSocketMA},
-			{"MA (ours)", coll.ReduceMA},
-			{"DPML", coll.ReduceDPML},
-			{"RG", coll.ReduceRG},
-		}
-		f := &Figure{
-			ID:       fmt.Sprintf("fig10%s", nodeSuffix(node)),
-			Title:    fmt.Sprintf("Reduce comparison (%s, p=%d)", node.Name, p),
-			XLabel:   "Msg bytes",
-			XValues:  sizes,
-			YLabel:   "time (us)",
-			Baseline: "Socket-aware MA (ours)",
-		}
-		for _, a := range algs {
-			a := a
-			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return MeasureReduce(node, p, a.f, s, o)
-			})})
-		}
-		return f, nil
-	}
-}
-
-func figAllreduce(node *topo.Node, p int) Runner {
-	return func(quick bool) (*Figure, error) {
-		sizes := MsgSizes(quick)
-		o := NodeOptions(node)
-		algs := []struct {
-			name string
-			f    coll.ARFunc
-		}{
-			{"Socket-aware MA (ours)", coll.AllreduceSocketMA},
-			{"MA (ours)", coll.AllreduceMA},
-			{"DPML", coll.AllreduceDPML},
-			{"RG", coll.AllreduceRG},
-			{"Ring", coll.AllreduceRing},
-			{"Rabenseifner", coll.AllreduceRabenseifner},
-		}
-		f := &Figure{
-			ID:       fmt.Sprintf("fig11%s", nodeSuffix(node)),
-			Title:    fmt.Sprintf("All-reduce comparison (%s, p=%d)", node.Name, p),
-			XLabel:   "Msg bytes",
-			XValues:  sizes,
-			YLabel:   "time (us)",
-			Baseline: "Socket-aware MA (ours)",
-		}
-		for _, a := range algs {
-			a := a
-			f.Series = append(f.Series, Series{Name: a.name, Y: sweep(sizes, func(s int64) float64 {
-				return MeasureAllreduce(node, p, a.f, s, o)
-			})})
-		}
-		return f, nil
-	}
-}
+var (
+	figReduceScatter = figCompare("fig9", "Reduce-scatter", "reduce-scatter", []legend{
+		{"Socket-aware MA (ours)", "socket-ma"}, {"MA (ours)", "ma"}, {"DPML", "dpml"},
+		{"Ring", "ring"}, {"Rabenseifner", "rabenseifner"},
+	})
+	figReduce = figCompare("fig10", "Reduce", "reduce", []legend{
+		{"Socket-aware MA (ours)", "socket-ma"}, {"MA (ours)", "ma"}, {"DPML", "dpml"}, {"RG", "rg"},
+	})
+	figAllreduce = figCompare("fig11", "All-reduce", "allreduce", []legend{
+		{"Socket-aware MA (ours)", "socket-ma"}, {"MA (ours)", "ma"}, {"DPML", "dpml"}, {"RG", "rg"},
+		{"Ring", "ring"}, {"Rabenseifner", "rabenseifner"},
+	})
+)
 
 // figScalability is Fig. 16a: all-reduce at 64 MB over p = 2..64 on NodeA.
 func figScalability(quick bool) (*Figure, error) {
@@ -135,16 +81,9 @@ func figScalability(quick bool) (*Figure, error) {
 		ps = []int{2, 8, 64}
 	}
 	const s = 64 << 20
-	algs := []struct {
-		name string
-		f    coll.ARFunc
-	}{
-		{"YHCCL", coll.AllreduceYHCCL},
-		{"DPML", coll.AllreduceDPML},
-		{"RG", coll.AllreduceRG},
-		{"Open MPI (ring)", coll.AllreduceRing},
-		{"MPICH (Rabenseifner)", coll.AllreduceRabenseifner},
-		{"Hashmi's XPMEM", coll.AllreduceXPMEM},
+	algs := []legend{
+		{"YHCCL", "yhccl"}, {"DPML", "dpml"}, {"RG", "rg"}, {"Open MPI (ring)", "ring"},
+		{"MPICH (Rabenseifner)", "rabenseifner"}, {"Hashmi's XPMEM", "xpmem"},
 	}
 	f := &Figure{
 		ID:     "fig16a",
@@ -157,9 +96,10 @@ func figScalability(quick bool) (*Figure, error) {
 		f.XValues = append(f.XValues, int64(p))
 	}
 	for _, a := range algs {
+		call := bind("allreduce", a.alg)
 		ys := make([]float64, len(ps))
 		for i, p := range ps {
-			ys[i] = MeasureAllreduce(node, p, a.f, s, coll.Options{})
+			ys[i] = Measure(node, p, "allreduce", call, s, coll.Options{})
 		}
 		f.Series = append(f.Series, Series{Name: a.name, Y: ys})
 	}

@@ -105,7 +105,7 @@ func Run(c Case) (res Result) {
 		return res
 	}
 
-	makespan, runErr := m.Run(body.run)
+	makespan, runErr := m.Run(body.Run)
 	switch {
 	case runErr != nil:
 		res.Err = runErr
@@ -114,8 +114,8 @@ func Run(c Case) (res Result) {
 		} else {
 			res.Outcome = Undiagnosed
 		}
-	case body.verr != nil:
-		res.Err = body.verr
+	case body.Err() != nil:
+		res.Err = body.Err()
 		if c.Plan != nil && len(c.Plan.Corruptions) > 0 {
 			res.Outcome = ValidationCaught
 		} else {
@@ -128,106 +128,21 @@ func Run(c Case) (res Result) {
 	return res
 }
 
-// caseBody binds a case's collective dispatch and captures the first
-// validation failure any rank reports.
-type caseBody struct {
-	run  func(r *mpi.Rank)
-	verr error
-}
-
 // body binds the case at the head of its fallback chain with the canonical
 // fill pattern — the shape the plain (diagnose-only) sweep runs.
-func (c Case) body(m *mpi.Machine) (*caseBody, error) {
+func (c Case) body(m *mpi.Machine) (*coll.Checked, error) {
 	return c.bind(m, 0, 0)
 }
 
-// bind builds the case's per-rank body for the given machine (whose size
-// may differ from c.Ranks after a communicator shrink), fallback depth
-// along the collective's resilient chain, and fill-pattern salt. Depth 0
-// with salt 0 dispatches exactly what the plain sweep runs.
-func (c Case) bind(m *mpi.Machine, depth, salt int) (*caseBody, error) {
-	p := m.Size()
-	bases := coll.SumBasesSalted(p, salt)
-	b := &caseBody{}
-	check := func(err error) {
-		if err != nil && b.verr == nil {
-			b.verr = err
-		}
-	}
-	n := c.Elems
-	o := coll.Options{FallbackDepth: depth}
-	switch c.Collective {
-	case "allreduce":
-		name, alg, err := coll.ResilientAR(c.Algo, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := c.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			alg(r, r.World(), sb, rb, n, mpi.Sum, o)
-			check(coll.ValidateAllreduceSum(opName, r.ID(), rb, n, bases))
-		}
-	case "reduce-scatter":
-		name, alg, err := coll.ResilientRS(c.Algo, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := c.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", int64(p)*n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			alg(r, r.World(), sb, rb, n, mpi.Sum, o)
-			check(coll.ValidateReduceScatterSum(opName, r.ID(), rb, n, bases))
-		}
-	case "reduce":
-		name, alg, err := coll.ResilientReduce(c.Algo, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := c.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			alg(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
-			check(coll.ValidateReduceSum(opName, r.ID(), 0, rb, n, bases))
-		}
-	case "bcast":
-		name, alg, err := coll.ResilientBcast(c.Algo, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := c.Collective + "/" + name
-		rootBase := 777 + float64(salt*17)
-		b.run = func(r *mpi.Rank) {
-			buf := r.NewBuffer("buf", n)
-			if r.ID() == 0 {
-				r.FillPattern(buf, rootBase)
-			}
-			alg(r, r.World(), buf, n, 0, o)
-			check(coll.ValidateBcast(opName, r.ID(), buf, n, rootBase))
-		}
-	case "allgather":
-		name, alg, err := coll.ResilientAG(c.Algo, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := c.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", int64(p)*n)
-			r.FillPattern(sb, bases[r.ID()])
-			alg(r, r.World(), sb, rb, n, o)
-			check(coll.ValidateAllgather(opName, r.ID(), rb, n, bases))
-		}
-	default:
+// bind builds the case's validated per-rank body for the given machine
+// (whose size may differ from c.Ranks after a communicator shrink),
+// fallback depth along the collective's resilient chain, and fill-pattern
+// salt. Depth 0 with salt 0 dispatches exactly what the plain sweep runs.
+func (c Case) bind(m *mpi.Machine, depth, salt int) (*coll.Checked, error) {
+	if !coll.PaperCollective(c.Collective) {
 		return nil, fmt.Errorf("chaos: unknown collective %q", c.Collective)
 	}
-	return b, nil
+	return coll.BindChecked(c.Collective, c.Algo, m.Size(), c.Elems, depth, salt)
 }
 
 // namesVictim reports whether a failed run's diagnosis names at least one

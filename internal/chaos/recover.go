@@ -65,7 +65,7 @@ func RunRecover(c Case) (res RecoveryResult) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return b.run, func() error { return b.verr }, nil
+			return b.Run, b.Err, nil
 		},
 	}
 	res.Report = resilient.Supervise(m, job, resilient.DefaultPolicy())

@@ -181,12 +181,16 @@ func TestGraphExecutorRandomSchedules(t *testing.T) {
 // matching plan exists, and honors plan parameters when one does.
 func TestTunedDispatchFallback(t *testing.T) {
 	p, n := 4, int64(512)
+	tuned, err := BindTuned(nil, "allreduce")
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := mpi.NewMachine(topo.NodeA(), p, true)
 	m.MustRun(func(r *mpi.Rank) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		TunedAllreduce(nil, r, r.World(), sb, rb, n, mpi.Sum, Options{})
+		tuned(r, r.World(), sb, rb, n, mpi.Sum, 0, Options{})
 		for j := int64(0); j < n; j += 3 {
 			if got, want := rb.Slice(j, 1)[0], expectSum(p, j); got != want {
 				t.Errorf("rank %d rb[%d] = %v, want %v", r.ID(), j, got, want)
@@ -209,11 +213,15 @@ func TestTunedDispatchUsesPlan(t *testing.T) {
 	pl := NewPlanner(tab)
 	m := mpi.NewMachine(topo.NodeA(), p, true)
 	m.SetTuning(pl)
+	tuned, err := BindTuned(PlannerOf(m), "allreduce")
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.MustRun(func(r *mpi.Rank) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, float64(r.ID()))
-		TunedAllreduce(PlannerOf(m), r, r.World(), sb, rb, n, mpi.Sum, Options{})
+		tuned(r, r.World(), sb, rb, n, mpi.Sum, 0, Options{})
 		for j := int64(0); j < n; j += 3 {
 			if got, want := rb.Slice(j, 1)[0], expectSum(p, j); got != want {
 				t.Errorf("rank %d rb[%d] = %v, want %v", r.ID(), j, got, want)

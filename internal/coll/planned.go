@@ -25,7 +25,7 @@ type Planner struct {
 }
 
 type graphKey struct {
-	coll plan.Coll
+	coll string
 	p    int
 	f    int
 }
@@ -45,25 +45,30 @@ func PlannerOf(m *mpi.Machine) *Planner {
 	return pl
 }
 
+// fanouts lowers and runs the searched "fanout" family of the collectives
+// that have one.
+var fanouts = map[string]struct {
+	lower func(schedule.Schedule) (*plan.Graph, error)
+	run   func(r *mpi.Rank, c *mpi.Comm, g *plan.Graph, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options)
+}{
+	"allreduce":      {plan.AllreduceFromSchedule, AllreduceGraph},
+	"reduce-scatter": {plan.FromSchedule, ReduceScatterGraph},
+}
+
 // fanoutGraph returns the compiled DAG for the fanout family, building and
 // validating it on first use.
-func (pl *Planner) fanoutGraph(c plan.Coll, p, f int) *plan.Graph {
+func (pl *Planner) fanoutGraph(collective string, p, f int) *plan.Graph {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	k := graphKey{c, p, f}
+	k := graphKey{collective, p, f}
 	if g, ok := pl.graphs[k]; ok {
 		return g
 	}
-	var g *plan.Graph
-	var err error
-	switch c {
-	case plan.Allreduce:
-		g, err = plan.AllreduceFromSchedule(schedule.Fanout(p, f))
-	case plan.ReduceScatter:
-		g, err = plan.FromSchedule(schedule.Fanout(p, f))
-	default:
-		err = fmt.Errorf("coll: fanout family has no %s lowering", c)
+	fo, ok := fanouts[collective]
+	if !ok {
+		panic(fmt.Errorf("coll: fanout family has no %s lowering", collective))
 	}
+	g, err := fo.lower(schedule.Fanout(p, f))
 	if err != nil {
 		panic(err) // searched plans are validated at synthesis time
 	}
@@ -91,109 +96,60 @@ func ApplyParams(o Options, pr plan.Params) Options {
 	return o
 }
 
-// The Tuned* dispatchers: one table lookup selects the synthesized plan for
-// the message size; a missing planner or an untuned collective falls back
-// to the hand-tuned YHCCL switch. These are what the facade's collective
-// entry points call on a tuned machine.
-
-// TunedAllreduce dispatches an all-reduce through the plan table.
-func TunedAllreduce(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
+// BindTuned binds a paper collective to pl's plan table: each call looks up
+// the plan for its message size — the total p*n message for
+// reduce-scatter (the figure convention), the per-rank message otherwise —
+// overlays the plan's params and runs its family, a fanout graph or a
+// registry algorithm. A nil planner or an untuned collective runs the
+// hand-tuned "yhccl" switch.
+func BindTuned(pl *Planner, collective string) (Call, error) {
+	c, err := plan.ParseColl(collective)
+	if err != nil {
+		return nil, err
+	}
+	algos := registry[collective]
+	yhccl := algos["yhccl"]
 	if pl == nil {
-		AllreduceYHCCL(r, c, sb, rb, n, op, o)
-		return
+		return yhccl, nil
 	}
-	entry := pl.table.Lookup(plan.Allreduce, n*memmodel.ElemSize)
-	if entry == nil {
-		AllreduceYHCCL(r, c, sb, rb, n, op, o)
-		return
-	}
-	o = ApplyParams(o, entry.Params)
-	if entry.Params.Family == "fanout" {
-		g := pl.fanoutGraph(plan.Allreduce, c.Size(), entry.Params.Fanout)
-		AllreduceGraph(r, c, g, sb, rb, n, op, o)
-		return
-	}
-	f, err := Lookup(AllreduceAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, sb, rb, n, op, o)
+	return func(r *mpi.Rank, cm *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o Options) {
+		bytes := n * memmodel.ElemSize
+		if c == plan.ReduceScatter {
+			bytes *= int64(cm.Size())
+		}
+		entry := pl.table.Lookup(c, bytes)
+		if entry == nil {
+			yhccl(r, cm, sb, rb, n, op, root, o)
+			return
+		}
+		o = ApplyParams(o, entry.Params)
+		if entry.Params.Family == "fanout" {
+			g := pl.fanoutGraph(collective, cm.Size(), entry.Params.Fanout)
+			fanouts[collective].run(r, cm, g, sb, rb, n, op, o)
+			return
+		}
+		f, err := Lookup(algos, entry.Params.Family)
+		if err != nil {
+			panic(err)
+		}
+		f(r, cm, sb, rb, n, op, root, o)
+	}, nil
 }
 
-// TunedReduceScatter dispatches a reduce-scatter (sb p*n elems, rb n) by
-// total message size, matching the figure convention.
-func TunedReduceScatter(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-	if pl == nil {
-		ReduceScatterYHCCL(r, c, sb, rb, n, op, o)
-		return
+// BindPlan binds one plan family on p ranks without a table, as the tuner
+// measures a candidate: "fanout" lowers a fresh schedule graph for the
+// collectives that have one, any other family is a registry lookup. The
+// caller overlays the params on its options (ApplyParams).
+func BindPlan(collective string, p int, pr plan.Params) (Call, error) {
+	fo, ok := fanouts[collective]
+	if pr.Family != "fanout" || !ok {
+		return Bind(collective, pr.Family)
 	}
-	total := int64(c.Size()) * n * memmodel.ElemSize
-	entry := pl.table.Lookup(plan.ReduceScatter, total)
-	if entry == nil {
-		ReduceScatterYHCCL(r, c, sb, rb, n, op, o)
-		return
-	}
-	o = ApplyParams(o, entry.Params)
-	if entry.Params.Family == "fanout" {
-		g := pl.fanoutGraph(plan.ReduceScatter, c.Size(), entry.Params.Fanout)
-		ReduceScatterGraph(r, c, g, sb, rb, n, op, o)
-		return
-	}
-	f, err := Lookup(ReduceScatterAlgos, entry.Params.Family)
+	g, err := fo.lower(schedule.Fanout(p, pr.Fanout))
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	f(r, c, sb, rb, n, op, o)
-}
-
-// TunedReduce dispatches a rooted reduce through the plan table.
-func TunedReduce(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o Options) {
-	var entry *plan.Plan
-	if pl != nil {
-		entry = pl.table.Lookup(plan.Reduce, n*memmodel.ElemSize)
-	}
-	if entry == nil {
-		ReduceYHCCL(r, c, sb, rb, n, op, root, o)
-		return
-	}
-	f, err := Lookup(ReduceAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, sb, rb, n, op, root, ApplyParams(o, entry.Params))
-}
-
-// TunedBcast dispatches a broadcast through the plan table.
-func TunedBcast(pl *Planner, r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, root int, o Options) {
-	var entry *plan.Plan
-	if pl != nil {
-		entry = pl.table.Lookup(plan.Bcast, n*memmodel.ElemSize)
-	}
-	if entry == nil {
-		BcastPipelined(r, c, buf, n, root, o)
-		return
-	}
-	f, err := Lookup(BcastAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, buf, n, root, ApplyParams(o, entry.Params))
-}
-
-// TunedAllgather dispatches an all-gather (sb n elems, rb p*n) keyed by the
-// per-rank contribution size.
-func TunedAllgather(pl *Planner, r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o Options) {
-	var entry *plan.Plan
-	if pl != nil {
-		entry = pl.table.Lookup(plan.Allgather, n*memmodel.ElemSize)
-	}
-	if entry == nil {
-		AllgatherPipelined(r, c, sb, rb, n, o)
-		return
-	}
-	f, err := Lookup(AllgatherAlgos, entry.Params.Family)
-	if err != nil {
-		panic(err)
-	}
-	f(r, c, sb, rb, n, ApplyParams(o, entry.Params))
+	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, _ int, o Options) {
+		fo.run(r, c, g, sb, rb, n, op, o)
+	}, nil
 }

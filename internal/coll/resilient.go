@@ -1,6 +1,11 @@
 package coll
 
-import "fmt"
+import (
+	"fmt"
+
+	"yhccl/internal/memmodel"
+	"yhccl/internal/mpi"
+)
 
 // Resilient dispatch: every collective has a fallback chain — the primary
 // algorithm followed by progressively more conservative variants — walked by
@@ -41,71 +46,38 @@ func MaxFallbackDepth(collective, primary string) int {
 	return len(FallbackChain(collective, primary)) - 1
 }
 
-// resolveChain picks the chain entry at o.FallbackDepth, clamping past-end
-// depths to the last (most conservative) algorithm.
-func resolveChain(collective, primary string, o Options) string {
+// PaperCollective reports whether the collective is one of the five the
+// paper evaluates — exactly those with a fallback chain, tuned plans and a
+// validated body.
+func PaperCollective(collective string) bool {
+	_, ok := fallbacks[collective]
+	return ok
+}
+
+// resilient resolves the algorithm at depth along primary's fallback chain
+// (past-end depths clamp to the last, most conservative one) and returns
+// its name and a Call that tags the rank with "collective/name" (SetOp)
+// before running it, so a hang or crash is attributed to the algorithm.
+func resilient(collective, primary string, depth int) (string, Call, error) {
 	chain := FallbackChain(collective, primary)
-	d := o.FallbackDepth
-	if d < 0 {
-		d = 0
+	name := chain[min(max(depth, 0), len(chain)-1)]
+	f, err := Bind(collective, name)
+	if err != nil {
+		return name, nil, fmt.Errorf("resilient %s: %w", collective, err)
 	}
-	if d >= len(chain) {
-		d = len(chain) - 1
-	}
-	return chain[d]
+	tag := collective + "/" + name
+	return name, func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o Options) {
+		r.SetOp(tag)
+		f(r, c, sb, rb, n, op, root, o)
+	}, nil
 }
 
-// ResilientAR resolves the all-reduce to run at o.FallbackDepth along
-// primary's fallback chain, returning the resolved name and an instrumented
-// implementation. Depth 0 is the primary itself, so a clean run dispatches
-// exactly what a direct registry lookup would.
-func ResilientAR(primary string, o Options) (string, ARFunc, error) {
-	name := resolveChain("allreduce", primary, o)
-	f, err := Lookup(AllreduceAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient allreduce: %w", err)
-	}
-	return name, InstrumentAR(name, f), nil
-}
-
-// ResilientRS is ResilientAR for reduce-scatter.
-func ResilientRS(primary string, o Options) (string, RSFunc, error) {
-	name := resolveChain("reduce-scatter", primary, o)
-	f, err := Lookup(ReduceScatterAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient reduce-scatter: %w", err)
-	}
-	return name, InstrumentRS(name, f), nil
-}
-
-// ResilientReduce is ResilientAR for rooted reduce.
-func ResilientReduce(primary string, o Options) (string, ReduceFunc, error) {
-	name := resolveChain("reduce", primary, o)
-	f, err := Lookup(ReduceAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient reduce: %w", err)
-	}
-	return name, InstrumentReduce(name, f), nil
-}
-
-// ResilientBcast is ResilientAR for broadcast.
-func ResilientBcast(primary string, o Options) (string, BcastFunc, error) {
-	name := resolveChain("bcast", primary, o)
-	f, err := Lookup(BcastAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient bcast: %w", err)
-	}
-	return name, InstrumentBcast(name, f), nil
-}
-
-// ResilientAG is ResilientAR for all-gather.
-func ResilientAG(primary string, o Options) (string, AGFunc, error) {
-	name := resolveChain("allgather", primary, o)
-	f, err := Lookup(AllgatherAlgos, name)
-	if err != nil {
-		return name, nil, fmt.Errorf("resilient allgather: %w", err)
-	}
-	return name, InstrumentAG(name, f), nil
+// BindResilient binds the collective at depth along primary's fallback
+// chain, instrumented for attribution. Depth 0 is the primary itself, so a
+// clean run dispatches exactly what Bind would.
+func BindResilient(collective, primary string, depth int) (Call, error) {
+	_, f, err := resilient(collective, primary, depth)
+	return f, err
 }
 
 // SumBasesSalted is SumBases offset by a retry salt: attempt k fills rank

@@ -49,7 +49,7 @@ func TestResilientDispatchByDepth(t *testing.T) {
 		{-1, "yhccl"},
 	}
 	for _, c := range cases {
-		name, f, err := ResilientAR("yhccl", Options{FallbackDepth: c.depth})
+		name, f, err := resilient("allreduce", "yhccl", c.depth)
 		if err != nil {
 			t.Fatalf("depth %d: %v", c.depth, err)
 		}
@@ -63,12 +63,12 @@ func TestResilientDispatchByDepth(t *testing.T) {
 }
 
 func TestResilientDispatchUnknownPrimary(t *testing.T) {
-	if _, _, err := ResilientAR("nope", Options{}); err == nil {
+	if _, _, err := resilient("allreduce", "nope", 0); err == nil {
 		t.Error("unknown primary accepted")
 	}
 	// But a bad primary with depth pointing at a valid fallback still works:
 	// the chain entry at that depth is what gets looked up.
-	name, _, err := ResilientBcast("nope", Options{FallbackDepth: 1})
+	name, _, err := resilient("bcast", "nope", 1)
 	if err != nil || name != "binomial" {
 		t.Errorf("depth-1 fallback for bad primary: name=%q err=%v", name, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"yhccl/internal/memmodel"
-	"yhccl/internal/mpi"
 )
 
 // Self-validating mode: every collective's output can be checked against a
@@ -130,48 +129,4 @@ func ValidateAllgather(op string, rank int, rb *memmodel.Buffer, n int64, bases 
 	return validateBuf(op, rank, rb.Slice(0, int64(len(bases))*n), func(i int64) float64 {
 		return bases[i/n] + float64(i%n)
 	})
-}
-
-// Instrumented wrappers: tag the executing rank with the op name (for
-// RunError diagnostics) before dispatching, so a hang or crash inside any
-// registry algorithm is attributed to "collective/algorithm".
-
-// InstrumentAR wraps an all-reduce with SetOp attribution.
-func InstrumentAR(name string, f ARFunc) ARFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-		r.SetOp("allreduce/" + name)
-		f(r, c, sb, rb, n, op, o)
-	}
-}
-
-// InstrumentRS wraps a reduce-scatter with SetOp attribution.
-func InstrumentRS(name string, f RSFunc) RSFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, o Options) {
-		r.SetOp("reduce-scatter/" + name)
-		f(r, c, sb, rb, n, op, o)
-	}
-}
-
-// InstrumentReduce wraps a rooted reduce with SetOp attribution.
-func InstrumentReduce(name string, f ReduceFunc) ReduceFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, op mpi.Op, root int, o Options) {
-		r.SetOp("reduce/" + name)
-		f(r, c, sb, rb, n, op, root, o)
-	}
-}
-
-// InstrumentBcast wraps a broadcast with SetOp attribution.
-func InstrumentBcast(name string, f BcastFunc) BcastFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, buf *memmodel.Buffer, n int64, root int, o Options) {
-		r.SetOp("bcast/" + name)
-		f(r, c, buf, n, root, o)
-	}
-}
-
-// InstrumentAG wraps an all-gather with SetOp attribution.
-func InstrumentAG(name string, f AGFunc) AGFunc {
-	return func(r *mpi.Rank, c *mpi.Comm, sb, rb *memmodel.Buffer, n int64, o Options) {
-		r.SetOp("allgather/" + name)
-		f(r, c, sb, rb, n, o)
-	}
 }

@@ -154,13 +154,16 @@ func TestInstrumentTagsOpForDiagnostics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	alg := InstrumentAR("ring", AllreduceRing)
+	alg, err := BindResilient("allreduce", "ring", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bases := SumBases(p)
-	_, err := m.Run(func(r *mpi.Rank) {
+	_, err = m.Run(func(r *mpi.Rank) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, bases[r.ID()])
-		alg(r, r.World(), sb, rb, n, mpi.Sum, Options{})
+		alg(r, r.World(), sb, rb, n, mpi.Sum, 0, Options{})
 	})
 	if err == nil {
 		t.Fatal("expected the stalled run to fail")

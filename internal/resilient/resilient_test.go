@@ -17,24 +17,11 @@ func allreduceJob(primary string, n int64) Job {
 		Name:     "allreduce/" + primary,
 		MaxDepth: coll.MaxFallbackDepth("allreduce", primary),
 		Bind: func(m *mpi.Machine, depth, salt int) (func(*mpi.Rank), func() error, error) {
-			p := m.Size()
-			bases := coll.SumBasesSalted(p, salt)
-			o := coll.Options{FallbackDepth: depth}
-			name, alg, err := coll.ResilientAR(primary, o)
+			b, err := coll.BindChecked("allreduce", primary, m.Size(), n, depth, salt)
 			if err != nil {
 				return nil, nil, err
 			}
-			var verr error
-			body := func(r *mpi.Rank) {
-				sb := r.NewBuffer("sb", n)
-				rb := r.NewBuffer("rb", n)
-				r.FillPattern(sb, bases[r.ID()])
-				alg(r, r.World(), sb, rb, n, mpi.Sum, o)
-				if err := coll.ValidateAllreduceSum("allreduce/"+name, r.ID(), rb, n, bases); err != nil && verr == nil {
-					verr = err
-				}
-			}
-			return body, func() error { return verr }, nil
+			return b.Run, b.Err, nil
 		},
 	}
 }
@@ -48,8 +35,8 @@ func TestCleanPassMatchesDirectRun(t *testing.T) {
 		sb := r.NewBuffer("sb", n)
 		rb := r.NewBuffer("rb", n)
 		r.FillPattern(sb, bases[r.ID()])
-		coll.InstrumentAR("yhccl", coll.AllreduceAlgos["yhccl"])(
-			r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
+		r.SetOp("allreduce/yhccl")
+		coll.AllreduceAlgos["yhccl"](r, r.World(), sb, rb, n, mpi.Sum, coll.Options{})
 	})
 	// Supervised run on a fresh identical machine with no plan armed.
 	m := mpi.NewMachine(topo.NodeA(), p, true)

@@ -222,101 +222,44 @@ func (ms *measurer) healthyService(spec JobSpec, perSocket, ext []int) float64 {
 
 // healthyBody builds the model-only per-rank loop for a spec: Calls
 // back-to-back collective calls with OSU-style buffer re-warming between
-// iterations.
+// iterations (the send buffer before every call; for bcast, only at the
+// root).
 func healthyBody(spec JobSpec, p int) (func(*mpi.Rank), error) {
-	n := spec.MsgBytes / memmodel.ElemSize
-	if n < 1 {
-		n = 1
+	if !servable(spec.Collective) {
+		return nil, fmt.Errorf("serve: unsupported collective %q", spec.Collective)
 	}
+	f, err := coll.Bind(spec.Collective, specAlg(spec))
+	if err != nil {
+		return nil, err
+	}
+	n := specElems(spec)
+	send, recv := coll.Shape(spec.Collective, p, n)
 	calls := spec.Calls
-	alg := spec.Alg
-	if alg == "" {
-		alg = "yhccl"
+	bcast := spec.Collective == "bcast"
+	return func(r *mpi.Rank) {
+		sb := r.PersistentBuffer("serve/sb", send)
+		var rb *memmodel.Buffer
+		if recv > 0 {
+			rb = r.PersistentBuffer("serve/rb", recv)
+		}
+		for i := 0; i < calls; i++ {
+			if !bcast || r.ID() == 0 {
+				r.Warm(sb, 0, send)
+			}
+			f(r, r.World(), sb, rb, n, mpi.Sum, 0, coll.Options{})
+		}
+	}, nil
+}
+
+// specElems is a spec's per-rank element count (at least one).
+func specElems(spec JobSpec) int64 { return max(spec.MsgBytes/memmodel.ElemSize, 1) }
+
+// specAlg is a spec's algorithm, "" selecting the default.
+func specAlg(spec JobSpec) string {
+	if spec.Alg == "" {
+		return "yhccl"
 	}
-	o := coll.Options{}
-	pp := int64(p)
-	switch spec.Collective {
-	case "allreduce":
-		f, err := coll.Lookup(coll.AllreduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n)
-			rb := r.PersistentBuffer("serve/rb", n)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n)
-				f(r, r.World(), sb, rb, n, mpi.Sum, o)
-			}
-		}, nil
-	case "reduce-scatter":
-		f, err := coll.Lookup(coll.ReduceScatterAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n*pp)
-			rb := r.PersistentBuffer("serve/rb", n)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n*pp)
-				f(r, r.World(), sb, rb, n, mpi.Sum, o)
-			}
-		}, nil
-	case "reduce":
-		f, err := coll.Lookup(coll.ReduceAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n)
-			rb := r.PersistentBuffer("serve/rb", n)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n)
-				f(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
-			}
-		}, nil
-	case "bcast":
-		f, err := coll.Lookup(coll.BcastAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			buf := r.PersistentBuffer("serve/buf", n)
-			for i := 0; i < calls; i++ {
-				if r.ID() == 0 {
-					r.Warm(buf, 0, n)
-				}
-				f(r, r.World(), buf, n, 0, o)
-			}
-		}, nil
-	case "allgather":
-		f, err := coll.Lookup(coll.AllgatherAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n)
-			rb := r.PersistentBuffer("serve/rb", n*pp)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n)
-				f(r, r.World(), sb, rb, n, o)
-			}
-		}, nil
-	case "alltoall":
-		f, err := coll.Lookup(coll.AlltoallAlgos, alg)
-		if err != nil {
-			return nil, err
-		}
-		return func(r *mpi.Rank) {
-			sb := r.PersistentBuffer("serve/sb", n*pp)
-			rb := r.PersistentBuffer("serve/rb", n*pp)
-			for i := 0; i < calls; i++ {
-				r.Warm(sb, 0, n*pp)
-				f(r, r.World(), sb, rb, n, o)
-			}
-		}, nil
-	}
-	return nil, fmt.Errorf("serve: unsupported collective %q", spec.Collective)
+	return spec.Alg
 }
 
 // faultService measures a fault-seeded tenant: one validated collective
@@ -334,19 +277,19 @@ func (ms *measurer) faultService(spec JobSpec, perSocket, ext []int, perCall flo
 	if err := m.SetFaultPlan(plan); err != nil {
 		panic(fmt.Sprintf("serve: bad generated plan: %v", err))
 	}
-	alg := spec.Alg
-	if alg == "" {
-		alg = "yhccl"
-	}
+	alg := specAlg(spec)
 	job := resilient.Job{
 		Name:     spec.Name,
 		MaxDepth: coll.MaxFallbackDepth(spec.Collective, alg),
 		Bind: func(m *mpi.Machine, depth, salt int) (func(*mpi.Rank), func() error, error) {
-			b, err := faultBody(spec, m, depth, salt)
+			if !coll.PaperCollective(spec.Collective) {
+				return nil, nil, fmt.Errorf("serve: fault-seeded job on unsupported collective %q", spec.Collective)
+			}
+			b, err := coll.BindChecked(spec.Collective, alg, m.Size(), specElems(spec), depth, salt)
 			if err != nil {
 				return nil, nil, err
 			}
-			return b.run, func() error { return b.verr }, nil
+			return b.Run, b.Err, nil
 		},
 	}
 	pol := resilient.DefaultPolicy()
@@ -368,104 +311,4 @@ func (ms *measurer) faultService(spec JobSpec, perSocket, ext []int, perCall flo
 	}
 	total += float64(spec.Calls-1) * perCall
 	return total, rep.Outcome
-}
-
-// faultBody is the chaos-style validated single-call body: fill-pattern
-// bases salted per attempt, resilient dispatch at the given depth, exact
-// self-validation capturing the first divergence.
-type bodyState struct {
-	run  func(*mpi.Rank)
-	verr error
-}
-
-func faultBody(spec JobSpec, m *mpi.Machine, depth, salt int) (*bodyState, error) {
-	p := m.Size()
-	bases := coll.SumBasesSalted(p, salt)
-	b := &bodyState{}
-	check := func(err error) {
-		if err != nil && b.verr == nil {
-			b.verr = err
-		}
-	}
-	n := spec.MsgBytes / memmodel.ElemSize
-	if n < 1 {
-		n = 1
-	}
-	alg := spec.Alg
-	if alg == "" {
-		alg = "yhccl"
-	}
-	o := coll.Options{FallbackDepth: depth}
-	switch spec.Collective {
-	case "allreduce":
-		name, f, err := coll.ResilientAR(alg, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := spec.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, mpi.Sum, o)
-			check(coll.ValidateAllreduceSum(opName, r.ID(), rb, n, bases))
-		}
-	case "reduce-scatter":
-		name, f, err := coll.ResilientRS(alg, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := spec.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", int64(p)*n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, mpi.Sum, o)
-			check(coll.ValidateReduceScatterSum(opName, r.ID(), rb, n, bases))
-		}
-	case "reduce":
-		name, f, err := coll.ResilientReduce(alg, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := spec.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, mpi.Sum, 0, o)
-			check(coll.ValidateReduceSum(opName, r.ID(), 0, rb, n, bases))
-		}
-	case "bcast":
-		name, f, err := coll.ResilientBcast(alg, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := spec.Collective + "/" + name
-		rootBase := 777 + float64(salt*17)
-		b.run = func(r *mpi.Rank) {
-			buf := r.NewBuffer("buf", n)
-			if r.ID() == 0 {
-				r.FillPattern(buf, rootBase)
-			}
-			f(r, r.World(), buf, n, 0, o)
-			check(coll.ValidateBcast(opName, r.ID(), buf, n, rootBase))
-		}
-	case "allgather":
-		name, f, err := coll.ResilientAG(alg, o)
-		if err != nil {
-			return nil, err
-		}
-		opName := spec.Collective + "/" + name
-		b.run = func(r *mpi.Rank) {
-			sb := r.NewBuffer("sb", n)
-			rb := r.NewBuffer("rb", int64(p)*n)
-			r.FillPattern(sb, bases[r.ID()])
-			f(r, r.World(), sb, rb, n, o)
-			check(coll.ValidateAllgather(opName, r.ID(), rb, n, bases))
-		}
-	default:
-		return nil, fmt.Errorf("serve: fault-seeded job on unsupported collective %q", spec.Collective)
-	}
-	return b, nil
 }

@@ -16,7 +16,11 @@
 // paper figures use (memoized per distinct contention state).
 package serve
 
-import "fmt"
+import (
+	"fmt"
+
+	"yhccl/internal/coll"
+)
 
 // Placement selects how a job's ranks map onto sockets.
 type Placement int
@@ -100,14 +104,18 @@ type JobSpec struct {
 	Deadline float64
 }
 
+// servable reports whether the scheduler runs the collective: the paper's
+// five plus all-to-all (the reference mix's halo exchange).
+func servable(collective string) bool {
+	return coll.PaperCollective(collective) || collective == "alltoall"
+}
+
 // Validate checks a spec for the scheduler's requirements.
 func (j JobSpec) Validate() error {
 	if j.Name == "" {
 		return fmt.Errorf("serve: job spec with empty Name")
 	}
-	switch j.Collective {
-	case "allreduce", "reduce-scatter", "reduce", "bcast", "allgather", "alltoall":
-	default:
+	if !servable(j.Collective) {
 		return fmt.Errorf("serve: job %q: unsupported collective %q", j.Name, j.Collective)
 	}
 	if j.MsgBytes < 8 {
