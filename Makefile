@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build loc test test-race race race-fast vet fuzz chaos chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload
+.PHONY: build loc test test-race race-fast vet fuzz chaos chaos-recover chaos-cluster chaos-churn scale engine-compare ci bench bench-baseline bench-compare tune tune-full plan-verify serve serve-overload
 
 # Single CI entrypoint: vet, the full test suite (incl. the fast race pass),
 # a short fuzz smoke, the fault-injection gates (rank-level, recovery,
@@ -32,9 +32,6 @@ race-fast:
 # detector on a small host, so give the suite room beyond the 10m default.
 test-race:
 	$(GO) test -race -timeout 45m ./...
-
-# Backwards-compatible alias for test-race.
-race: test-race
 
 # go vet, then a formatting gate: fails when gofmt would change any Go file
 # outside perfbench/ and .bench_build/.
@@ -89,11 +86,11 @@ chaos-churn:
 scale:
 	$(GO) run ./cmd/yhcclbench -scale-gate
 
-# Engine parity matrix: every shared config on both simulation cores, exit
-# nonzero on any makespan divergence (also runs inside `make test` via the
-# cluster package's TestEngineParity).
+# Engine parity matrix: every shared config must give tick-identical
+# makespans on both simulation cores and match testdata/parity.golden (the
+# cluster package's TestEngineParity, also part of `make test`).
 engine-compare:
-	$(GO) run ./cmd/simbench -engine-compare
+	$(GO) test ./internal/cluster -run '^TestEngineParity$$' -count=1
 
 # Engine + residency micro-benchmarks (text output, for quick comparisons).
 bench:

@@ -9,9 +9,6 @@
 //	go run ./cmd/simbench -skip-fig  # micro-benchmarks only
 //	go run ./cmd/simbench -skip-fig -compare BENCH_sim.json
 //	                                 # re-run and fail on >15% regression
-//	go run ./cmd/simbench -engine-compare
-//	                                 # run the full engine parity matrix and
-//	                                 # fail on any makespan divergence
 package main
 
 import (
@@ -420,21 +417,6 @@ func epochCheckOverhead(b *testing.B) {
 	}
 }
 
-// engineCompare runs both engines over the shared parity matrix and fails
-// on any makespan divergence — the gate, invocable from CI.
-func engineCompare(verbose bool) (int, error) {
-	results, err := cluster.VerifyParity(cluster.ParityCases())
-	if err != nil {
-		return 0, err
-	}
-	if verbose {
-		for _, r := range results {
-			fmt.Fprintf(os.Stderr, "parity %-44s %14d ticks  %8d events\n", r.Name, r.Makespan, r.Events)
-		}
-	}
-	return len(results), nil
-}
-
 func main() {
 	os.Exit(realMain())
 }
@@ -449,7 +431,6 @@ func realMain() int {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		engine    = flag.String("engine", "event", "engine recorded as the report's mode: coroutine or event")
-		engCmp    = flag.Bool("engine-compare", false, "run the engine parity matrix (both engines, all shared configs) and exit; nonzero on divergence")
 	)
 	flag.Parse()
 
@@ -457,16 +438,6 @@ func realMain() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
 		return 1
-	}
-
-	if *engCmp {
-		n, err := engineCompare(true)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "simbench: %d configs, event == coroutine makespans on all\n", n)
-		return 0
 	}
 
 	if *cpuProf != "" {
@@ -528,12 +499,12 @@ func realMain() int {
 	run("epoch_check_overhead", epochCheckOverhead, rep.Benchmarks)
 
 	fmt.Fprintf(os.Stderr, "running engine parity matrix...\n")
-	nParity, err := engineCompare(false)
+	parity, err := cluster.VerifyParity(cluster.ParityCases())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simbench:", err)
 		return 1
 	}
-	rep.EngineParityCases = nParity
+	rep.EngineParityCases = len(parity)
 
 	if !*skipFig {
 		fmt.Fprintf(os.Stderr, "running fig11a quick sweep...\n")
