@@ -279,20 +279,17 @@ func steadyState(m *mpi.Machine, body func(r *mpi.Rank)) float64 {
 	return m.MustRun(body)
 }
 
-// Measure is the exact harness the figures use — same
-// steady-state warm-up contract, same machine construction — and is
-// exported for the plan tuner (internal/tune), so a tuner candidate and a
-// figure baseline see identical simulated times. That identity is what
-// makes the "synthesized plans beat or match every hand-written algorithm"
-// gate hold exactly on ties: the tuner's seed candidates ARE the figure
-// baselines, measured by the same code.
-
 // Measure measures one call of a collective at message sBytes (the total
 // message for reduce-scatter, the per-rank message otherwise) on a fresh
-// p-rank machine, returning the steady-state simulated seconds. The
-// application updates its buffers each iteration, so the send buffer is
-// warmed before the call, and so is the receive buffer of the reductions;
-// all-gather's p-times-larger output is left cold.
+// p-rank machine, returning the steady-state simulated seconds. It is the
+// exact harness the figures use, exported for the plan tuner
+// (internal/tune), so a tuner candidate and a figure baseline see
+// identical simulated times. That identity is what makes the "synthesized
+// plans beat or match every hand-written algorithm" gate hold exactly on
+// ties: the tuner's seed candidates ARE the figure baselines, measured by
+// the same code. The application updates its buffers each iteration, so
+// the send buffer is warmed before the call, and so is the receive buffer
+// of the reductions; all-gather's p-times-larger output is left cold.
 func Measure(node *topo.Node, p int, collective string, call coll.Call, sBytes int64, o coll.Options) float64 {
 	n := sBytes / memmodel.ElemSize
 	if collective == "reduce-scatter" {
