@@ -53,6 +53,9 @@ type Machine struct {
 	// lastClocks holds each rank's final virtual clock from the most recent
 	// successful Run, in rank order.
 	lastClocks []float64
+	// lastStats holds the engine's scheduling counts from the most recent
+	// Run, failed or not.
+	lastStats sim.Stats
 
 	// external[s] is the number of co-tenant ranks (other jobs) sharing
 	// socket s's bandwidth and LLC (see memmodel.NewShared). Preserved
@@ -313,6 +316,10 @@ func (m *Machine) RankClocks() []float64 {
 	return append([]float64(nil), m.lastClocks...)
 }
 
+// LastStats returns the engine's scheduling counts (switches, run-ahead
+// hits, blocks, timer fires) from the most recent Run.
+func (m *Machine) LastStats() sim.Stats { return m.lastStats }
+
 // SetTuning attaches tuned-plan dispatch state (a *coll.Planner) to the
 // machine. Called once at machine creation — never per collective call.
 func (m *Machine) SetTuning(t any) { m.tuned = t }
@@ -383,6 +390,7 @@ func (m *Machine) Injector() *fault.Injector { return m.inject }
 // panic escape unattributed.
 func (m *Machine) Run(body func(r *Rank)) (makespan float64, err error) {
 	e := sim.NewEngine()
+	defer func() { m.lastStats = e.Stats() }()
 	switch {
 	case m.Watchdog > 0:
 		e.SetWatchdog(m.Watchdog)
