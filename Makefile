@@ -41,12 +41,14 @@ vet:
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Fuzz smoke: a few seconds of coverage-guided fuzzing per target (the event
-# calendar's dispatch order, plan-graph schedules on both engines, the
-# memory model's region tracker and buffer range checks, the serving
-# scheduler under decoded streams and capacity churn). A crasher is
-# written to the package's testdata/fuzz and fails the target.
+# calendar's dispatch order, the coroutine engine's run queue, plan-graph
+# schedules on both engines, the memory model's region tracker and buffer
+# range checks, the serving scheduler under decoded streams and capacity
+# churn). A crasher is written to the package's testdata/fuzz and fails the
+# target.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventCalendar$$' -fuzztime 5s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRunQueue$$' -fuzztime 5s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzPlanGraphEngines$$' -fuzztime 5s
 	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzCacheState$$' -fuzztime 5s
 	$(GO) test ./internal/memmodel -run '^$$' -fuzz '^FuzzBufferRanges$$' -fuzztime 5s

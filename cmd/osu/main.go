@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -29,86 +30,92 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "osu:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the command line and prints the latency table to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("osu", flag.ExitOnError)
 	var (
-		collective = flag.String("coll", "allreduce", "collective: allreduce, reduce-scatter, reduce, bcast, allgather, gather, scatter, alltoall, scan")
-		alg        = flag.String("alg", "yhccl", "algorithm name (see -algs)")
-		np         = flag.Int("np", 64, "number of ranks")
-		nodeName   = flag.String("node", "NodeA", "node preset: NodeA, NodeB, NodeC")
-		mrange     = flag.String("m", "65536:268435456", "message byte range min:max (doubling)")
-		check      = flag.Bool("c", false, "run a data verification pass first")
-		stats      = flag.Bool("stats", false, "also print DAV and DRAM-traffic columns")
-		traceFile  = flag.String("trace", "", "write a chrome://tracing JSON of the largest size's run")
-		algsFlag   = flag.Bool("algs", false, "list algorithms for -coll and exit")
-		straggler  = flag.String("straggler", "", "inject a deterministic straggler into the timed runs, as rank:factor (e.g. 3:8)")
+		collective = fs.String("coll", "allreduce", "collective: allreduce, reduce-scatter, reduce, bcast, allgather, gather, scatter, alltoall, scan")
+		alg        = fs.String("alg", "yhccl", "algorithm name (see -algs)")
+		np         = fs.Int("np", 64, "number of ranks")
+		nodeName   = fs.String("node", "NodeA", "node preset: NodeA, NodeB, NodeC")
+		mrange     = fs.String("m", "65536:268435456", "message byte range min:max (doubling)")
+		check      = fs.Bool("c", false, "run a data verification pass first")
+		stats      = fs.Bool("stats", false, "also print DAV and DRAM-traffic columns")
+		traceFile  = fs.String("trace", "", "write a chrome://tracing JSON of the largest size's run")
+		algsFlag   = fs.Bool("algs", false, "list algorithms for -coll and exit")
+		straggler  = fs.String("straggler", "", "inject a deterministic straggler into the timed runs, as rank:factor (e.g. 3:8)")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	*collective = yhccl.CanonicalCollective(*collective)
 
 	if *algsFlag {
-		fmt.Println(strings.Join(yhccl.AlgorithmNames(*collective), " "))
-		return
+		fmt.Fprintln(out, strings.Join(yhccl.AlgorithmNames(*collective), " "))
+		return nil
 	}
 
 	node, err := topo.Preset(*nodeName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	lo, hi, err := parseRange(*mrange)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	plan, err := parseStraggler(*straggler, *np)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *check {
 		if err := verify(node, *np, *collective, *alg); err != nil {
-			fatal(fmt.Errorf("verification FAILED: %w", err))
+			return fmt.Errorf("verification FAILED: %w", err)
 		}
-		fmt.Println("# verification passed")
+		fmt.Fprintln(out, "# verification passed")
 	}
 
-	fmt.Printf("# OSU-style %s, %s, np=%d, algorithm=%s (simulated time)\n",
+	fmt.Fprintf(out, "# OSU-style %s, %s, np=%d, algorithm=%s (simulated time)\n",
 		*collective, node.Name, *np, *alg)
 	if plan != nil {
-		fmt.Printf("# %v\n", plan)
+		fmt.Fprintf(out, "# %v\n", plan)
 	}
 	if *stats {
-		fmt.Printf("%-12s %14s %12s %12s %10s\n", "# Size", "Avg Latency(us)", "DAV(MB)", "DRAM(MB)", "syncs")
+		fmt.Fprintf(out, "%-12s %14s %12s %12s %10s\n", "# Size", "Avg Latency(us)", "DAV(MB)", "DRAM(MB)", "syncs")
 	} else {
-		fmt.Printf("%-12s %14s\n", "# Size", "Avg Latency(us)")
+		fmt.Fprintf(out, "%-12s %14s\n", "# Size", "Avg Latency(us)")
 	}
 	for s := lo; s <= hi; s *= 2 {
 		trace := *traceFile != "" && s*2 > hi // only the largest size
 		t, counters, tr, err := measure(node, *np, *collective, *alg, s, trace, plan)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *stats {
-			fmt.Printf("%-12d %14.2f %12d %12d %10d\n",
+			fmt.Fprintf(out, "%-12d %14.2f %12d %12d %10d\n",
 				s, t*1e6, counters.DAV()>>20, counters.DRAMTraffic>>20, counters.SyncCount)
 		} else {
-			fmt.Printf("%-12d %14.2f\n", s, t*1e6)
+			fmt.Fprintf(out, "%-12d %14.2f\n", s, t*1e6)
 		}
 		if tr != nil {
 			f, err := os.Create(*traceFile)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if err := tr.WriteJSON(f); err != nil {
-				fatal(err)
+				return err
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("# trace (%d events) written to %s\n", tr.Len(), *traceFile)
+			fmt.Fprintf(out, "# trace (%d events) written to %s\n", tr.Len(), *traceFile)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "osu:", err)
-	os.Exit(1)
+	return nil
 }
 
 func parseRange(s string) (int64, int64, error) {

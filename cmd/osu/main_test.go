@@ -72,3 +72,25 @@ func TestParseStragglerRespectsNp(t *testing.T) {
 		t.Error("rank 7 accepted with np=4")
 	}
 }
+
+// TestCollectiveAliases: -coll broadcast and -coll reducescatter print the
+// same table as their canonical names.
+func TestCollectiveAliases(t *testing.T) {
+	table := func(coll string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run([]string{"-coll", coll, "-np", "8", "-m", "8192:8192"}, &out); err != nil {
+			t.Fatalf("-coll %s: %v", coll, err)
+		}
+		return out.String()
+	}
+	for alias, canonical := range map[string]string{"broadcast": "bcast", "reducescatter": "reduce-scatter"} {
+		got, want := table(alias), table(canonical)
+		if got != want {
+			t.Errorf("-coll %s printed\n%s\nwant the -coll %s table\n%s", alias, got, canonical, want)
+		}
+		if !strings.Contains(got, "\n8192 ") {
+			t.Errorf("-coll %s printed no 8192-byte row:\n%s", alias, got)
+		}
+	}
+}

@@ -52,8 +52,10 @@ type Req struct {
 	Count      int64
 }
 
-// normalizeCollective folds accepted aliases onto canonical names.
-func normalizeCollective(c string) string {
+// CanonicalCollective folds the accepted aliases ("reducescatter",
+// "broadcast") onto canonical collective names and returns any other name
+// unchanged. Exec and AlgorithmNames apply it to their input.
+func CanonicalCollective(c string) string {
 	switch c {
 	case "reducescatter":
 		return "reduce-scatter"
@@ -66,7 +68,7 @@ func normalizeCollective(c string) string {
 // validate checks the request's cross-field constraints and returns the
 // canonicalized request.
 func (q Req) validate() (Req, error) {
-	q.Collective = normalizeCollective(q.Collective)
+	q.Collective = CanonicalCollective(q.Collective)
 	switch q.Collective {
 	case "allreduce", "reduce-scatter", "reduce", "bcast", "allgather",
 		"gather", "scatter", "alltoall", "scan":

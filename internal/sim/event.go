@@ -12,7 +12,7 @@
 // Determinism: events are totally ordered by (tick, seq), where seq is the
 // post order. Ticks are integers, so there is no float accumulation and the
 // calendar pop sequence is a pure function of the posted events, exactly as
-// the coroutine engine's (clock, seq) heap key is.
+// the coroutine engine's (clock, push order) run queue is.
 //
 // The calendar is a monotone radix queue. Post forbids ticks below now, so
 // every pending tick is at least last, the tick of the most recent dispatch.

@@ -118,5 +118,5 @@ func NewMachineWithBinding(node *Node, rankCores []int, real bool) *Machine {
 // AlgorithmNames lists the registered algorithm names for a collective
 // (any of the nine, aliases included; nil for an unknown one).
 func AlgorithmNames(collective string) []string {
-	return coll.Algorithms(normalizeCollective(collective))
+	return coll.Algorithms(CanonicalCollective(collective))
 }
